@@ -99,7 +99,7 @@ pub(crate) fn run_tuned_retry_loop<R>(
     tx.clear_stamps();
     loop {
         p.begin_attempt();
-        tx.stamp_first_attempt(p.timestamp());
+        tx.stamp_first_attempt(|| p.timestamp());
         alg.begin(shared, tx, p);
         let result = {
             let mut view = TxView::new(alg, shared, tx, p);
@@ -222,10 +222,11 @@ impl TxEngine {
     /// Starts a transaction attempt (also used to restart after an abort).
     ///
     /// The first attempt since the last [`TxEngine::take_stamps`] harvest is
-    /// stamped with the platform clock; retries keep the original stamp.
+    /// stamped with the platform clock; retries keep the original stamp and
+    /// do not read the clock.
     pub fn begin(&mut self, p: &mut dyn Platform) {
         p.begin_attempt();
-        self.slot.stamp_first_attempt(p.timestamp());
+        self.slot.stamp_first_attempt(|| p.timestamp());
         self.alg.begin(&self.shared, &mut self.slot, p);
     }
 
@@ -427,5 +428,117 @@ impl crate::var::TxOps for EngineOps<'_> {
 
     fn raw_copy(&mut self, src: Addr, dst: Addr, words: u32) {
         self.p.copy(src, dst, words)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use pim_sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
+
+    use super::*;
+    use crate::config::{StmConfig, StmKind};
+    use crate::platform::AtomicOutcome;
+    use crate::var::TxOps;
+
+    /// A simulator platform that counts its clock reads.
+    struct StampCounter<'a> {
+        ctx: TaskletCtx<'a>,
+        reads: Cell<u64>,
+    }
+
+    impl Platform for StampCounter<'_> {
+        fn load(&mut self, addr: Addr) -> u64 {
+            self.ctx.load(addr)
+        }
+
+        fn store(&mut self, addr: Addr, value: u64) {
+            Platform::store(&mut self.ctx, addr, value)
+        }
+
+        fn atomic_update(
+            &mut self,
+            addr: Addr,
+            update: &mut dyn FnMut(u64) -> Option<u64>,
+        ) -> AtomicOutcome {
+            self.ctx.atomic_update(addr, update)
+        }
+
+        fn set_phase(&mut self, phase: Phase) -> Phase {
+            Platform::set_phase(&mut self.ctx, phase)
+        }
+
+        fn begin_attempt(&mut self) {
+            Platform::begin_attempt(&mut self.ctx)
+        }
+
+        fn commit_attempt(&mut self) {
+            Platform::commit_attempt(&mut self.ctx)
+        }
+
+        fn abort_attempt(&mut self) {
+            Platform::abort_attempt(&mut self.ctx)
+        }
+
+        fn tasklet_id(&self) -> usize {
+            Platform::tasklet_id(&self.ctx)
+        }
+
+        fn timestamp(&self) -> u64 {
+            self.reads.set(self.reads.get() + 1);
+            self.ctx.timestamp()
+        }
+
+        fn compute(&mut self, instructions: u64) {
+            Platform::compute(&mut self.ctx, instructions)
+        }
+    }
+
+    /// Clock reads taken by one transaction that aborts `aborts` times
+    /// before it commits, through the closure API and the step API.
+    fn clock_reads(aborts: u64) -> [u64; 2] {
+        let mut dpu = Dpu::new(DpuConfig::small());
+        let shared = StmShared::allocate(&mut dpu, StmConfig::small_wram(StmKind::Norec)).unwrap();
+        let mut slot = shared.register_tasklet(&mut dpu, 0).unwrap();
+        let data = dpu.alloc(Tier::Mram, 1).unwrap();
+        let mut stats = TaskletStats::new();
+
+        let ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
+        let mut p = StampCounter { ctx, reads: Cell::new(0) };
+        let alg = algorithm_for(StmKind::Norec);
+        let mut attempts = 0;
+        run_retry_loop(alg, &shared, &mut slot, &mut p, None, |tx| {
+            attempts += 1;
+            let v = tx.read(data)?;
+            tx.write(data, v + 1)?;
+            if attempts <= aborts {
+                return Err(tx.cancel());
+            }
+            Ok(())
+        });
+        let loop_reads = p.reads.replace(0);
+        assert_eq!(attempts, aborts + 1);
+
+        // A fresh transaction for the step API.
+        slot.clear_stamps();
+        let mut engine = TxEngine::new(shared, slot, alg);
+        for _ in 0..aborts {
+            engine.begin(&mut p);
+            engine.cancel(&mut p);
+            engine.on_abort(&mut p, AbortReason::Explicit);
+        }
+        engine.begin(&mut p);
+        engine.commit(&mut p).unwrap();
+        let stamps = engine.take_stamps();
+        assert!(stamps.first_attempt.is_some() && stamps.committed.is_some());
+        [loop_reads, p.reads.get()]
+    }
+
+    #[test]
+    fn retries_do_not_read_the_clock() {
+        for aborts in [0, 1, 5] {
+            assert_eq!(clock_reads(aborts), [2, 2], "{aborts} aborts");
+        }
     }
 }

@@ -202,6 +202,16 @@
 //! [`threaded::ThreadedDpu::run`] returns them in
 //! [`threaded::ThreadedRunReport::profiles`].
 //!
+//! The threaded phase split is **sampled**. A clock read costs tens of
+//! nanoseconds, about as much as one transactional word operation, and
+//! each such operation switches phase twice. So only one attempt in every
+//! [`threaded::PHASE_SAMPLE_EVERY`] (32) reads the clock on each phase
+//! switch; the others are timed from begin to commit or abort. Totals,
+//! commit/abort counts, back-off time and wasted time (an aborted attempt's
+//! whole interval) stay exact. The time of unsampled committed attempts is
+//! split among the other phases in the proportions the sampled committed
+//! attempts showed.
+//!
 //! The same spine scales past one DPU: profiles are **merge-closed**
 //! ([`ExecProfile::merge`] sums two same-domain profiles field by field,
 //! and [`ExecProfile::merged`] folds any number of them), so a multi-DPU

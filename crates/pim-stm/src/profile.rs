@@ -46,6 +46,12 @@ pub enum TimeDomain {
     /// Deterministic simulator cycles (the unit behind the paper's figures).
     Cycles,
     /// Monotonic wall-clock nanoseconds measured on the threaded executor.
+    ///
+    /// Totals, back-off time and [`Phase::Wasted`] are measured exactly.
+    /// The split of committed time among the other phases is sampled: one
+    /// attempt in every [`crate::threaded::PHASE_SAMPLE_EVERY`] is timed
+    /// phase by phase, because reading the clock on every phase switch would
+    /// cost about as much as the operations being timed.
     WallNanos,
 }
 

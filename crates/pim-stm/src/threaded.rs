@@ -19,6 +19,17 @@
 //! spin-wait time. Threaded runs are therefore a second performance signal —
 //! directly comparable on counts and structure, not on absolute time — in
 //! addition to being the correctness cross-check.
+//!
+//! The per-phase split is **sampled**. One clock read costs tens of
+//! nanoseconds, about as much as the transactional word operation it would
+//! bracket, and every word operation switches phase twice. So the clock is
+//! read only at attempt boundaries (begin, commit, abort), around spin-waits
+//! and at thread end, except in one attempt in every [`PHASE_SAMPLE_EVERY`],
+//! where every phase switch is timed as well. Totals stay exact: every
+//! nanosecond of the thread lands in some phase, and an aborted attempt's
+//! whole interval is [`Phase::Wasted`] whether sampled or not. Only how an
+//! unsampled *committed* attempt's time divides among the other phases is
+//! estimated, from the proportions of the sampled committed attempts.
 
 pub mod affinity;
 
@@ -26,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use pim_sim::{Addr, AllocError, Phase, Tier};
+use pim_sim::{Addr, AllocError, Phase, PhaseBreakdown, Tier};
 
 use crate::algorithm::{algorithm_for, TmAlgorithm, TxView};
 use crate::config::StmConfig;
@@ -46,6 +57,12 @@ pub const DEFAULT_WRAM_WORDS: u32 = 64 * 1024 / 8;
 /// 64 MB bank to keep test fixtures cheap; use
 /// [`ThreadedDpu::with_capacity`] for the full size.
 pub const DEFAULT_MRAM_WORDS: u32 = 1 << 20;
+
+/// One transaction attempt in this many has its phase switches timed; the
+/// rest are timed only as a whole (see the [module docs](self)). Attempt
+/// `i` of a tasklet is sampled when `i % PHASE_SAMPLE_EVERY == 0`, so the
+/// choice is deterministic and the first attempt is always sampled.
+pub const PHASE_SAMPLE_EVERY: u64 = 32;
 
 /// Monotonic nanoseconds since the process-wide epoch (first call wins).
 ///
@@ -121,6 +138,15 @@ impl MetadataAllocator for &SharedMemory {
 /// exactly like the simulator's cycle accounting), MRAM-addressed traffic is
 /// counted as DMA setups/words with the simulator's per-transfer rules, and
 /// spin-waits are recorded as back-off time.
+///
+/// The phase split is sampled: only one attempt in every
+/// [`PHASE_SAMPLE_EVERY`] reads the clock on each [`Platform::set_phase`].
+/// Any other attempt is timed from begin to commit or abort. If it aborts,
+/// that time is wasted time as usual. If it commits, the time is held back
+/// and, when the thread ends, split across the non-wasted phases in the
+/// proportions of the sampled committed attempts (all of it to
+/// [`Phase::OtherExec`] if none committed). Phase totals therefore still
+/// sum to the thread's measured wall time.
 #[derive(Debug)]
 pub struct ThreadPlatform<'a> {
     memory: &'a SharedMemory,
@@ -132,6 +158,16 @@ pub struct ThreadPlatform<'a> {
     /// Whether an attempt is being accounted (mirrors the simulator's
     /// transactional flag).
     in_attempt: bool,
+    /// Whether phase switches are timed: true only inside a sampled attempt.
+    sampled: bool,
+    /// Attempts begun by this tasklet; selects the sampled ones.
+    attempts: u64,
+    /// Per-phase time of the sampled attempts that committed: the
+    /// proportions `unsampled_committed` is split by.
+    sampled_committed: PhaseBreakdown,
+    /// Wall time of the unsampled attempts that committed, charged to the
+    /// phases when the thread ends.
+    unsampled_committed: u64,
 }
 
 impl<'a> ThreadPlatform<'a> {
@@ -143,21 +179,39 @@ impl<'a> ThreadPlatform<'a> {
             phase: Phase::OtherExec,
             mark: Instant::now(),
             in_attempt: false,
+            sampled: false,
+            attempts: 0,
+            sampled_committed: PhaseBreakdown::new(),
+            unsampled_committed: 0,
         }
     }
 
-    /// Charges the wall-clock time since the last boundary to the current
-    /// phase and starts a new interval. One clock read serves both purposes
-    /// so no time falls between intervals.
-    fn flush_elapsed(&mut self) {
+    /// Wall-clock nanoseconds since the last boundary, starting a new
+    /// interval. One clock read serves both purposes so no time falls
+    /// between intervals.
+    fn take_elapsed(&mut self) -> u64 {
         let now = Instant::now();
         let nanos = u64::try_from((now - self.mark).as_nanos()).unwrap_or(u64::MAX);
         self.mark = now;
+        nanos
+    }
+
+    /// Charges the time since the last boundary to the current phase.
+    fn flush_elapsed(&mut self) {
+        let nanos = self.take_elapsed();
         if self.in_attempt {
             self.profile.core.charge_attempt(self.phase, nanos);
         } else {
             self.profile.core.charge_direct(self.phase, nanos);
         }
+    }
+
+    /// Charges the attempt's last interval, then leaves the attempt (the
+    /// caller resolves it in the profile).
+    fn end_attempt(&mut self) {
+        self.flush_elapsed();
+        self.in_attempt = false;
+        self.sampled = false;
     }
 
     /// Counts `words` words moved to/from an MRAM address as one DMA
@@ -169,10 +223,33 @@ impl<'a> ThreadPlatform<'a> {
     }
 }
 
+/// Splits `total` across the non-wasted phases in the proportions of
+/// `weights`, rounding each share down and giving the remainder to
+/// [`Phase::OtherExec`], so the shares sum to exactly `total`. With no
+/// non-wasted weight, all of `total` goes to [`Phase::OtherExec`].
+fn apportion(total: u64, weights: &PhaseBreakdown) -> PhaseBreakdown {
+    let phases = Phase::ALL.into_iter().filter(|&phase| phase != Phase::Wasted);
+    let weight_total: u128 = phases.clone().map(|phase| u128::from(weights.get(phase))).sum();
+    let mut split = PhaseBreakdown::new();
+    let mut left = total;
+    for phase in phases {
+        let scaled = u128::from(total) * u128::from(weights.get(phase));
+        if let Some(share) = scaled.checked_div(weight_total) {
+            // At most `total`, so the narrowing cannot truncate.
+            split.charge(phase, share as u64);
+            left -= share as u64;
+        }
+    }
+    split.charge(Phase::OtherExec, left);
+    split
+}
+
 impl Drop for ThreadPlatform<'_> {
     fn drop(&mut self) {
-        // Charge the tail interval so the profile covers the whole thread.
+        // Charge the tail interval so the profile covers the whole thread,
+        // then attribute the unsampled committed time.
         self.flush_elapsed();
+        self.profile.core.breakdown += apportion(self.unsampled_committed, &self.sampled_committed);
     }
 }
 
@@ -248,30 +325,38 @@ impl Platform for ThreadPlatform<'_> {
     }
 
     fn set_phase(&mut self, phase: Phase) -> Phase {
-        self.flush_elapsed();
+        if self.sampled {
+            self.flush_elapsed();
+        }
         std::mem::replace(&mut self.phase, phase)
     }
 
     fn begin_attempt(&mut self) {
         self.flush_elapsed();
         self.in_attempt = true;
+        self.sampled = self.attempts.is_multiple_of(PHASE_SAMPLE_EVERY);
+        self.attempts += 1;
     }
 
     fn commit_attempt(&mut self) {
-        self.flush_elapsed();
-        self.in_attempt = false;
+        if self.sampled {
+            self.end_attempt();
+            self.sampled_committed += self.profile.core.attempt;
+        } else {
+            // The attempt buffer is empty: nothing was charged since begin.
+            self.unsampled_committed += self.take_elapsed();
+            self.in_attempt = false;
+        }
         self.profile.core.resolve_commit();
     }
 
     fn abort_attempt(&mut self) {
-        self.flush_elapsed();
-        self.in_attempt = false;
+        self.end_attempt();
         self.profile.core.resolve_abort(None);
     }
 
     fn abort_attempt_with(&mut self, reason: AbortReason) {
-        self.flush_elapsed();
-        self.in_attempt = false;
+        self.end_attempt();
         self.profile.core.resolve_abort(Some(reason.index()));
     }
 
@@ -757,6 +842,133 @@ mod tests {
         assert!(merged.dma_words() > 0);
         for profile in &report.profiles {
             assert_eq!(profile.commits(), 100);
+        }
+    }
+
+    #[test]
+    fn unsampled_split_sums_exactly_to_the_total() {
+        let mut weights = PhaseBreakdown::new();
+        weights.charge(Phase::Reading, 3);
+        weights.charge(Phase::Writing, 5);
+        weights.charge(Phase::OtherCommit, 7);
+        // Committed time is never wasted: wasted weight is ignored.
+        weights.charge(Phase::Wasted, 1_000);
+        for total in [0, 1, 14, 15, 16, 1_000_003, u64::MAX] {
+            let split = apportion(total, &weights);
+            assert_eq!(split.total(), total, "split of {total}");
+            assert_eq!(split.get(Phase::Wasted), 0, "split of {total}");
+        }
+        // Shares round down (16·3/15 → 3, 16·5/15 → 5, 16·7/15 → 7); the
+        // remainder goes to OtherExec.
+        let split = apportion(16, &weights);
+        assert_eq!(split.get(Phase::Reading), 3);
+        assert_eq!(split.get(Phase::Writing), 5);
+        assert_eq!(split.get(Phase::OtherCommit), 7);
+        assert_eq!(split.get(Phase::OtherExec), 1);
+        // No sampled committed attempt: everything goes to OtherExec.
+        let mut only_wasted = PhaseBreakdown::new();
+        only_wasted.charge(Phase::Wasted, 9);
+        for weights in [PhaseBreakdown::new(), only_wasted] {
+            let split = apportion(42, &weights);
+            assert_eq!(split.get(Phase::OtherExec), 42);
+            assert_eq!(split.total(), 42);
+        }
+    }
+
+    /// Busy-waits for at least `nanos` nanoseconds.
+    fn busy(nanos: u64) {
+        let start = Instant::now();
+        while start.elapsed() < std::time::Duration::from_nanos(nanos) {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Drives a platform directly through `attempts` attempts of one
+    /// 2 µs read phase each, aborting those `abort` selects, and returns the
+    /// profile with the wall time spent from construction to drop.
+    fn drive(attempts: u64, abort: impl Fn(u64) -> bool) -> (ExecProfile, u64) {
+        let memory = SharedMemory::new(16, 16);
+        let mut profile = ExecProfile::new(TimeDomain::WallNanos);
+        let outer = Instant::now();
+        {
+            let mut p = ThreadPlatform::new(&memory, &mut profile, 0);
+            for i in 0..attempts {
+                p.begin_attempt();
+                p.set_phase(Phase::Reading);
+                busy(2_000);
+                p.set_phase(Phase::OtherCommit);
+                if abort(i) {
+                    p.abort_attempt_with(AbortReason::ReadConflict);
+                } else {
+                    p.commit_attempt();
+                }
+                p.set_phase(Phase::OtherExec);
+            }
+            assert_eq!(p.attempts, attempts);
+        }
+        (profile, u64::try_from(outer.elapsed().as_nanos()).unwrap())
+    }
+
+    #[test]
+    fn aborted_time_is_wasted_whether_sampled_or_not() {
+        let attempts = 2 * PHASE_SAMPLE_EVERY + 1;
+        let (profile, wall) = drive(attempts, |_| true);
+        assert_eq!(profile.aborts(), attempts);
+        assert_eq!(profile.aborts_for(AbortReason::ReadConflict), attempts);
+        assert!(profile.phase(Phase::Wasted) >= attempts * 2_000);
+        // Outside the attempts only OtherExec accrues; inside, everything
+        // collapsed into Wasted.
+        for phase in Phase::ALL {
+            if phase != Phase::Wasted && phase != Phase::OtherExec {
+                assert_eq!(profile.phase(phase), 0, "{phase}");
+            }
+        }
+        assert!(profile.total_time() <= wall);
+    }
+
+    #[test]
+    fn unsampled_commits_keep_exact_totals() {
+        let attempts = 2 * PHASE_SAMPLE_EVERY;
+        // Attempts 0 and PHASE_SAMPLE_EVERY are sampled and commit.
+        let (profile, wall) = drive(attempts, |i| i % 4 == 3);
+        assert_eq!(profile.attempts(), attempts);
+        assert_eq!(profile.aborts(), attempts / 4);
+        assert!(profile.phase(Phase::Wasted) >= attempts / 4 * 2_000);
+        assert!(profile.phase(Phase::Reading) >= 2 * 2_000);
+        // Every nanosecond between construction and drop is charged once.
+        assert!(profile.total_time() >= attempts * 2_000);
+        assert!(profile.total_time() <= wall);
+    }
+
+    #[test]
+    fn contended_runs_count_every_attempt_and_waste_only_aborts() {
+        let mut dpu = ThreadedDpu::new(StmConfig::small_wram(StmKind::TinyEtlWb)).unwrap();
+        let counter = dpu.alloc(Tier::Mram, 1).unwrap();
+        let per_tasklet = 4 * PHASE_SAMPLE_EVERY;
+        // Body invocations per tasklet: one per attempt.
+        let bodies = Mutex::new(vec![0u64; 4]);
+        let report = dpu
+            .run(4, |mut tx| {
+                let mut calls = 0u64;
+                for _ in 0..per_tasklet {
+                    tx.transaction(|view| {
+                        calls += 1;
+                        let v = view.read(counter)?;
+                        view.write(counter, v + 1)?;
+                        Ok(())
+                    });
+                }
+                bodies.lock().unwrap()[tx.tasklet_id()] = calls;
+            })
+            .unwrap();
+        assert_eq!(dpu.peek(counter), 4 * per_tasklet);
+        let bodies = bodies.into_inner().unwrap();
+        for (profile, calls) in report.profiles.iter().zip(bodies) {
+            assert_eq!(profile.commits(), per_tasklet);
+            assert_eq!(profile.attempts(), calls);
+            assert_eq!(profile.attempts(), profile.commits() + profile.aborts());
+            assert_eq!(profile.histogram_total(), profile.aborts());
+            assert_eq!(profile.phase(Phase::Wasted) > 0, profile.aborts() > 0, "{profile:?}");
         }
     }
 

@@ -560,6 +560,29 @@ mod tests {
     }
 
     #[test]
+    fn sampled_threaded_profile_keeps_reading_and_writing_time() {
+        use pim_sim::Phase;
+        use pim_stm::threaded::PHASE_SAMPLE_EVERY;
+        // One tasklet cannot conflict, and more commits than the sampling
+        // period put most attempts on the unsampled path.
+        let cfg = ArrayBenchConfig {
+            transactions_per_tasklet: 3 * PHASE_SAMPLE_EVERY as u32,
+            ..ArrayBenchConfig::workload_a()
+        };
+        let stm_cfg = StmConfig::new(StmKind::TinyEtlWb, MetadataPlacement::Mram)
+            .with_read_set_capacity(cfg.read_set_capacity())
+            .with_write_set_capacity(cfg.write_set_capacity());
+        let mut dpu = ThreadedDpu::new(stm_cfg).unwrap();
+        let (_, report) = run_threaded(&mut dpu, cfg, 1, 42).unwrap();
+        let profile = &report.profiles[0];
+        assert_eq!(profile.commits(), u64::from(cfg.transactions_per_tasklet));
+        assert_eq!(profile.aborts(), 0);
+        assert_eq!(profile.phase(Phase::Wasted), 0);
+        assert!(profile.phase(Phase::Reading) > 0, "{profile:?}");
+        assert!(profile.phase(Phase::Writing) > 0, "{profile:?}");
+    }
+
+    #[test]
     fn scaling_keeps_at_least_one_transaction() {
         let cfg = ArrayBenchConfig::workload_a().scaled(0.0001);
         assert_eq!(cfg.transactions_per_tasklet, 1);
