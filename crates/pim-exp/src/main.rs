@@ -358,7 +358,7 @@ fn usage() -> String {
      \x20 --service measures latency under offered load instead of\n\
      \x20 capacity: an open-loop --arrival process (poisson, bursty with\n\
      \x20 optional burst size and duty cycle, or the closed-loop baseline)\n\
-     \x20 offers each --rate of the ladder (default 25k,50k,100k,200k\n\
+     \x20 offers each --rate of the ladder (default 250k,500k,1M,2M,4M\n\
      \x20 req/s) against the STM-backed hashmap + journal-queue service\n\
      \x20 structures, under a --mix of get:put:transfer weights (default\n\
      \x20 80:15:5) and a --skew key distribution (uniform or zipf:theta).\n\

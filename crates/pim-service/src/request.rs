@@ -176,7 +176,7 @@ impl ServiceTables {
 
 /// Encodes a transfer for the journal: source key in the high 32 bits,
 /// destination in the low 32.
-fn journal_record(from: u64, to: u64) -> u64 {
+pub(crate) fn journal_record(from: u64, to: u64) -> u64 {
     (from << 32) | (to & 0xFFFF_FFFF)
 }
 

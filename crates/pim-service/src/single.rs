@@ -2,31 +2,38 @@
 //! executors.
 //!
 //! The request stream is generated up front (see [`crate::request`]); the
-//! **admission queue** sits between it and the tasklets. A tasklet with no
-//! request in flight asks admission for the next due request:
+//! **admission** sits between it and the tasklets. It is one lock-free
+//! cursor over the arrival-sorted stream, shared by both executors: a
+//! tasklet with no request in flight claims the front request by
+//! compare-exchange once it is due (see `Admission::pop_due`). When the
+//! front is not yet due:
 //!
-//! * on the **simulator**, a not-yet-due front request parks the tasklet
-//!   with [`StepStatus::IdleUntil`] — virtual time advances to the arrival
-//!   without charging busy cycles, which is what makes open-loop offered
-//!   loads below capacity cheap to simulate;
+//! * on the **simulator**, the tasklet parks with [`StepStatus::IdleUntil`]
+//!   — virtual time advances to the arrival without charging busy cycles,
+//!   which is what makes open-loop offered loads below capacity cheap to
+//!   simulate;
 //! * on the **threaded executor**, the tasklet sleeps/yields until the
 //!   wall-clock arrival.
 //!
 //! Dispatch stamps the queueing delay (`dispatch − arrival`); the STM engine
 //! stamps first-attempt and commit (see `pim_stm::txslot::TxStamps`), so
 //! queueing time is separable from STM service time per request, not just in
-//! aggregate.
+//! aggregate. Each tasklet records into a latency panel of its own, and the
+//! panels are merged after the run (exactly: histogram merges add counts),
+//! so the per-request path takes no lock; the admission cursor is the only
+//! state the tasklets share outside the STM. On threads the admission's
+//! `now` doubles as the dispatch stamp, so a request costs three clock
+//! reads: admission, attempt begin and commit.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use pim_sim::{
     Dpu, DpuConfig, DpuRunReport, KeyDist, Scheduler, StepStatus, TaskletCtx, TaskletProgram, Tier,
 };
-use pim_stm::threaded::{wall_clock_nanos, ThreadedDpu};
+use pim_stm::threaded::{wall_clock_nanos, ThreadedDpu, ThreadedRunReport};
 use pim_stm::{
     algorithm_for, MetadataPlacement, StmConfig, StmKind, StmShared, TimeDomain, TxSlot,
 };
@@ -204,6 +211,7 @@ pub enum PanelComponent {
 }
 
 /// What admission hands a tasklet asking for work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Pop {
     /// A due request (closed-loop: arrival rewritten to the dispatch
     /// instant, making queueing delay identically zero).
@@ -214,40 +222,57 @@ pub(crate) enum Pop {
     Drained,
 }
 
-/// The shared admission queue: arrival-ordered requests plus the closed-loop
-/// flag. Timestamps are *global* ticks; simulator callers pass their local
-/// `base + now`.
+/// The shared admission: arrival-ordered requests behind a lock-free cursor,
+/// plus the closed-loop flag. Timestamps are *global* ticks; simulator
+/// callers pass their local `base + now`.
 pub(crate) struct Admission {
-    queue: VecDeque<Request>,
+    requests: Vec<Request>,
+    /// Index of the front request: everything before it has been claimed.
+    next: AtomicUsize,
     closed_loop: bool,
 }
 
 impl Admission {
     pub(crate) fn new(requests: Vec<Request>, closed_loop: bool) -> Self {
-        Admission { queue: requests.into(), closed_loop }
+        Admission { requests, next: AtomicUsize::new(0), closed_loop }
     }
 
-    pub(crate) fn pop_due(&mut self, now: u64) -> Pop {
-        match self.queue.front() {
-            None => Pop::Drained,
-            Some(front) if self.closed_loop || front.arrival <= now => {
-                let mut request = self.queue.pop_front().expect("front just checked");
-                if self.closed_loop {
-                    request.arrival = now;
-                }
-                Pop::Ready(request)
+    /// Claims the front request if it is due at `now` (always, in closed
+    /// loop). A `Park` leaves the cursor where it is; each request is
+    /// handed out exactly once across all callers.
+    pub(crate) fn pop_due(&self, now: u64) -> Pop {
+        // Relaxed suffices: the cursor publishes no data. `requests` is never
+        // written after construction, and the claim's uniqueness rests on
+        // the compare-exchange alone (one modification order per atomic).
+        let mut front = self.next.load(Ordering::Relaxed);
+        loop {
+            let Some(&request) = self.requests.get(front) else { return Pop::Drained };
+            if !self.closed_loop && request.arrival > now {
+                return Pop::Park(request.arrival);
             }
-            Some(front) => Pop::Park(front.arrival),
+            match self.next.compare_exchange_weak(
+                front,
+                front + 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) if self.closed_loop => {
+                    return Pop::Ready(Request { arrival: now, ..request })
+                }
+                Ok(_) => return Pop::Ready(request),
+                Err(current) => front = current,
+            }
         }
     }
 }
 
 /// One simulated service tasklet: pulls due requests from the shared
-/// admission queue, serves each through a step-granular [`RequestBody`]
-/// transaction, and records the three-way latency split on commit.
+/// admission, serves each through a step-granular [`RequestBody`]
+/// transaction, and records the three-way latency split on commit into its
+/// own panel.
 pub(crate) struct ServiceTasklet {
-    admission: Rc<RefCell<Admission>>,
-    panel: Rc<RefCell<LatencyPanel>>,
+    admission: Rc<Admission>,
+    panel: LatencyPanel,
     tables: ServiceTables,
     runner: SimTxRunner,
     /// Global tick of this DPU's local cycle 0 (0 for single-DPU runs; the
@@ -260,15 +285,14 @@ pub(crate) struct ServiceTasklet {
 
 impl ServiceTasklet {
     pub(crate) fn new(
-        admission: Rc<RefCell<Admission>>,
-        panel: Rc<RefCell<LatencyPanel>>,
+        admission: Rc<Admission>,
         tables: ServiceTables,
         machine: TxMachine,
         base: u64,
     ) -> Self {
         ServiceTasklet {
             admission,
-            panel,
+            panel: LatencyPanel::new(TimeDomain::Cycles),
             tables,
             runner: SimTxRunner::new(machine),
             base,
@@ -283,7 +307,7 @@ impl TaskletProgram for ServiceTasklet {
     fn step(&mut self, ctx: &mut TaskletCtx<'_>) -> StepStatus {
         if self.pending.is_none() {
             let now = self.base + ctx.now();
-            return match self.admission.borrow_mut().pop_due(now) {
+            return match self.admission.pop_due(now) {
                 Pop::Ready(request) => {
                     self.dispatch = now;
                     self.body = Some(RequestBody::new(self.tables, &request));
@@ -303,7 +327,7 @@ impl TaskletProgram for ServiceTasklet {
             let request = self.pending.take().expect("pending checked above");
             let stamps = self.runner.machine_mut().take_stamps();
             let committed = self.base + stamps.committed.unwrap_or_else(|| ctx.now());
-            self.panel.borrow_mut().record(
+            self.panel.record(
                 self.dispatch.saturating_sub(request.arrival),
                 stamps.service_time().unwrap_or(0),
                 committed.saturating_sub(request.arrival),
@@ -337,25 +361,86 @@ pub(crate) fn run_sim_round(
     closed_loop: bool,
     base: u64,
 ) -> SimRound {
-    let admission = Rc::new(RefCell::new(Admission::new(requests, closed_loop)));
-    let panel = Rc::new(RefCell::new(LatencyPanel::new(TimeDomain::Cycles)));
+    let admission = Rc::new(Admission::new(requests, closed_loop));
     let alg = algorithm_for(shared.config().kind);
-    let programs: Vec<Box<dyn TaskletProgram>> = slots
+    let mut tasklets: Vec<ServiceTasklet> = slots
         .iter()
         .map(|slot| {
             let machine = TxMachine::new(shared.clone(), slot.clone(), alg);
-            Box::new(ServiceTasklet::new(
-                Rc::clone(&admission),
-                Rc::clone(&panel),
-                tables,
-                machine,
-                base,
-            )) as Box<dyn TaskletProgram>
+            ServiceTasklet::new(Rc::clone(&admission), tables, machine, base)
         })
         .collect();
-    let report = Scheduler::new().run(dpu, programs);
-    let panel = Rc::try_unwrap(panel).expect("programs dropped by the scheduler").into_inner();
+    let report = Scheduler::new().run_in_place(dpu, &mut tasklets);
+    let mut panel = LatencyPanel::new(TimeDomain::Cycles);
+    for tasklet in &tasklets {
+        panel.merge(&tasklet.panel);
+    }
     SimRound { report, panel }
+}
+
+/// Outcome of one threaded service run (the threaded counterpart of
+/// [`SimRound`]).
+pub(crate) struct ThreadedRound {
+    pub(crate) report: ThreadedRunReport,
+    pub(crate) panel: LatencyPanel,
+}
+
+/// Serves `requests` (arrivals in [`wall_clock_nanos`] ticks) on `tasklets`
+/// threads of an already-built threaded DPU: shared admission, one latency
+/// panel per tasklet, merged after the run.
+pub(crate) fn serve_threaded(
+    dpu: &mut ThreadedDpu,
+    tasklets: usize,
+    tables: ServiceTables,
+    requests: Vec<Request>,
+    closed_loop: bool,
+) -> ThreadedRound {
+    let admission = Admission::new(requests, closed_loop);
+    // Allocated here rather than on the tasklet threads; each thread locks
+    // its own panel once, for the whole run.
+    let panels: Vec<Mutex<LatencyPanel>> =
+        (0..tasklets).map(|_| Mutex::new(LatencyPanel::new(TimeDomain::WallNanos))).collect();
+    let report = dpu
+        .run(tasklets, |mut tasklet| {
+            let mut panel = panels[tasklet.tasklet_id()].lock().expect("panel lock");
+            loop {
+                // One clock read serves admission, the dispatch stamp and
+                // the park gap. In closed loop admission re-anchors the
+                // arrival on it, so queueing is zero *by definition*.
+                let now = wall_clock_nanos();
+                match admission.pop_due(now) {
+                    Pop::Ready(request) => {
+                        let mut body = RequestBody::new(tables, &request);
+                        run_tx_body(&mut tasklet, &mut body);
+                        let stamps = tasklet.last_tx_stamps();
+                        let committed = stamps.committed.unwrap_or(now);
+                        panel.record(
+                            now.saturating_sub(request.arrival),
+                            stamps.service_time().unwrap_or(0),
+                            committed.saturating_sub(request.arrival),
+                        );
+                    }
+                    Pop::Park(due) => {
+                        let gap = due - now;
+                        if gap > 100_000 {
+                            // Sleep most of the gap; the margin absorbs
+                            // wakeup jitter and the final stretch is
+                            // re-polled.
+                            std::thread::sleep(Duration::from_nanos(gap - 50_000));
+                        } else {
+                            std::thread::yield_now();
+                        }
+                    }
+                    Pop::Drained => break,
+                }
+            }
+        })
+        .expect("threaded service run");
+    let mut panel = LatencyPanel::new(TimeDomain::WallNanos);
+    for tasklet_panel in panels {
+        panel.merge(&tasklet_panel.into_inner().expect("panel lock"));
+    }
+    ThreadedRound { report, panel }
 }
 
 /// Runs the service on the deterministic simulator. Latencies are in cycles.
@@ -429,62 +514,17 @@ pub fn run_service_threaded(config: &ServiceConfig) -> ServiceReport {
     for request in &mut requests {
         request.arrival = request.arrival.saturating_add(base);
     }
-    let admission = Mutex::new(Admission::new(requests, closed_loop));
-    let panel = Mutex::new(LatencyPanel::new(TimeDomain::WallNanos));
-    let report = dpu
-        .run(config.tasklets, |mut tasklet| loop {
-            let next = {
-                let mut adm = admission.lock().expect("admission lock");
-                match adm.pop_due(wall_clock_nanos()) {
-                    Pop::Ready(request) => Ok(request),
-                    Pop::Park(at) => Err(Some(at)),
-                    Pop::Drained => Err(None),
-                }
-            };
-            match next {
-                Ok(mut request) => {
-                    let dispatch = wall_clock_nanos();
-                    if closed_loop {
-                        // Queueing is zero *by definition* in closed loop;
-                        // real nanoseconds tick between admission and here,
-                        // so re-anchor the arrival on the dispatch stamp.
-                        request.arrival = dispatch;
-                    }
-                    let mut body = RequestBody::new(tables, &request);
-                    run_tx_body(&mut tasklet, &mut body);
-                    let stamps = tasklet.last_tx_stamps();
-                    let committed = stamps.committed.unwrap_or(dispatch);
-                    panel.lock().expect("panel lock").record(
-                        dispatch.saturating_sub(request.arrival),
-                        stamps.service_time().unwrap_or(0),
-                        committed.saturating_sub(request.arrival),
-                    );
-                }
-                Err(Some(due)) => {
-                    let gap = due.saturating_sub(wall_clock_nanos());
-                    if gap > 100_000 {
-                        // Sleep most of the gap; the margin absorbs wakeup
-                        // jitter and the final stretch is re-polled.
-                        std::thread::sleep(Duration::from_nanos(gap - 50_000));
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                Err(None) => break,
-            }
-        })
-        .expect("threaded service run");
+    let round = serve_threaded(&mut dpu, config.tasklets, tables, requests, closed_loop);
     let makespan_seconds = (wall_clock_nanos() - start) as f64 / 1e9;
-    let panel = panel.into_inner().expect("panel lock");
     ServiceReport {
         executor: Executor::Threaded,
         arrival: config.arrival,
-        completed: panel.completed(),
-        commits: report.commits,
-        aborts: report.aborts,
+        completed: round.panel.completed(),
+        commits: round.report.commits,
+        aborts: round.report.aborts,
         makespan_seconds,
         ticks_per_second: 1e9,
-        panel,
+        panel: round.panel,
     }
 }
 
@@ -504,7 +544,8 @@ pub fn run_service(config: &ServiceConfig, executor: Executor) -> ServiceReport 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::RequestOp;
+    use crate::request::{journal_record, RequestOp};
+    use pim_stm::var::WordAccess;
 
     fn poisson_config() -> ServiceConfig {
         ServiceConfig::new(ArrivalProcess::Poisson { rate: 2_000_000.0 })
@@ -621,20 +662,135 @@ mod tests {
         assert_eq!(report.panel.queueing.hist.max(), 0);
     }
 
+    const FUND_KEYS: u64 = 32;
+    const FUND: u64 = 1_000_000;
+    const TRANSFERS: u64 = 300;
+
+    /// One put per key, each funding it with [`FUND`]: more than the
+    /// transfer stream can drain from any key, so every transfer is funded.
+    fn funding() -> Vec<Request> {
+        (0..FUND_KEYS)
+            .map(|key| Request { arrival: 0, op: RequestOp::Put, key, key2: key, value: FUND })
+            .collect()
+    }
+
+    /// A transfers-only stream over the funded keys.
+    fn transfers(ticks_per_second: f64) -> Vec<Request> {
+        generate_requests(
+            ArrivalProcess::Poisson { rate: 1_000_000.0 },
+            RequestMix { get: 0, put: 0, transfer: 1 },
+            KeyDist::Uniform,
+            FUND_KEYS,
+            TRANSFERS,
+            11,
+            ticks_per_second,
+        )
+    }
+
+    /// The balances still sum to the funding, and the journal (sized to
+    /// never evict) holds exactly one record per served transfer.
+    fn assert_conserved<M: WordAccess>(mem: &M, tables: ServiceTables, served: &[Request]) {
+        let total: u64 = (0..FUND_KEYS)
+            .map(|key| tables.map.host_get(mem, key).expect("every key was funded"))
+            .sum();
+        assert_eq!(total, FUND_KEYS * FUND, "transfers must conserve the total balance");
+        let mut journal = tables.journal.host_items(mem);
+        let mut expected: Vec<u64> = served.iter().map(|r| journal_record(r.key, r.key2)).collect();
+        journal.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(journal, expected, "the journal must hold every funded transfer once");
+    }
+
     #[test]
     fn service_preserves_balance_conservation_across_transfers() {
-        // Pure transfer mix on a seeded map: puts first (to fund), then
-        // transfers only — total balance must be conserved by construction
-        // of the transactional transfer. We check via the journal being
-        // populated and every commit accounted.
-        let config = ServiceConfig::new(ArrivalProcess::Poisson { rate: 1_000_000.0 })
-            .with_tasklets(4)
-            .with_keys(32)
-            .with_requests(300)
-            .with_mix(RequestMix { get: 0, put: 1, transfer: 1 });
-        let report = run_service_sim(&config);
-        assert_eq!(report.completed, 300);
-        assert!(report.aborts > 0 || report.commits == 300, "accounting must close");
+        let stm = poisson_config().stm;
+        let journal_capacity = TRANSFERS as u32;
+
+        // Simulator: open-loop transfers, so tasklets also park.
+        let mut dpu = Dpu::new(DpuConfig::default());
+        let clock_hz = dpu.latency().clock_hz as f64;
+        let shared = StmShared::allocate(&mut dpu, stm).unwrap();
+        let tables =
+            ServiceTables::allocate(&mut dpu, Tier::Mram, FUND_KEYS, journal_capacity).unwrap();
+        let slots: Vec<TxSlot> =
+            (0..4).map(|t| shared.register_tasklet(&mut dpu, t).unwrap()).collect();
+        let funded = run_sim_round(&mut dpu, &shared, &slots, tables, funding(), true, 0);
+        assert_eq!(funded.panel.completed(), FUND_KEYS);
+        let served = transfers(clock_hz);
+        let round = run_sim_round(&mut dpu, &shared, &slots, tables, served.clone(), false, 0);
+        assert_eq!(round.panel.completed(), TRANSFERS);
+        assert_eq!(round.report.total_commits(), TRANSFERS);
+        assert_conserved(&dpu, tables, &served);
+
+        // Threads: the same streams, closed loop.
+        let mut dpu = ThreadedDpu::new(stm).unwrap();
+        let tables =
+            ServiceTables::allocate(&mut dpu, Tier::Mram, FUND_KEYS, journal_capacity).unwrap();
+        let funded = serve_threaded(&mut dpu, 4, tables, funding(), true);
+        assert_eq!(funded.panel.completed(), FUND_KEYS);
+        let served = transfers(1e9);
+        let round = serve_threaded(&mut dpu, 4, tables, served.clone(), true);
+        assert_eq!(round.panel.completed(), TRANSFERS);
+        assert_eq!(round.report.commits, TRANSFERS);
+        assert_conserved(&dpu, tables, &served);
+    }
+
+    /// Requests `0..n` with key `i` arriving at tick `10 * i`.
+    fn numbered(n: u64) -> Vec<Request> {
+        (0..n)
+            .map(|i| Request { arrival: 10 * i, op: RequestOp::Get, key: i, key2: i, value: 1 })
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_admission_hands_out_every_request_exactly_once() {
+        const THREADS: usize = 4;
+        const PER_THREAD: u64 = 10_000;
+        let n = THREADS as u64 * PER_THREAD;
+        let admission = Admission::new(numbered(n), false);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let mut keys: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let mut popped = Vec::new();
+                        while let Pop::Ready(request) = admission.pop_due(u64::MAX) {
+                            assert_eq!(request.arrival, 10 * request.key, "arrival kept");
+                            popped.push(request.key);
+                        }
+                        popped
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        keys.sort_unstable();
+        assert_eq!(keys, (0..n).collect::<Vec<_>>(), "no request lost or duplicated");
+        assert_eq!(admission.pop_due(u64::MAX), Pop::Drained);
+    }
+
+    #[test]
+    fn admission_parks_without_advancing_and_drains_after_the_last_request() {
+        let admission = Admission::new(numbered(3), false);
+        let ready = |key: u64| Pop::Ready(numbered(3)[key as usize]);
+        assert_eq!(admission.pop_due(0), ready(0));
+        // Request 1 arrives at tick 10: parking on it leaves it at the front.
+        assert_eq!(admission.pop_due(9), Pop::Park(10));
+        assert_eq!(admission.pop_due(9), Pop::Park(10));
+        assert_eq!(admission.pop_due(10), ready(1));
+        assert_eq!(admission.pop_due(25), ready(2));
+        assert_eq!(admission.pop_due(25), Pop::Drained);
+        assert_eq!(admission.pop_due(u64::MAX), Pop::Drained);
+    }
+
+    #[test]
+    fn closed_loop_admission_rewrites_arrival_to_now() {
+        let admission = Admission::new(numbered(2), true);
+        // Never parks, even on a request "arriving" later than `now`.
+        assert_eq!(admission.pop_due(3), Pop::Ready(Request { arrival: 3, ..numbered(2)[0] }));
+        assert_eq!(admission.pop_due(4), Pop::Ready(Request { arrival: 4, ..numbered(2)[1] }));
+        assert_eq!(admission.pop_due(5), Pop::Drained);
     }
 
     #[test]

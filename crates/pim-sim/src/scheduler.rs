@@ -51,6 +51,20 @@ impl Scheduler {
     /// if the step budget is exhausted (which indicates a non-terminating
     /// program).
     pub fn run(&self, dpu: &mut Dpu, mut programs: Vec<Box<dyn TaskletProgram>>) -> DpuRunReport {
+        self.run_in_place(dpu, &mut programs)
+    }
+
+    /// [`Scheduler::run`] over programs the caller keeps, so their final
+    /// state (e.g. per-tasklet results) can be read after the run.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`Scheduler::run`].
+    pub fn run_in_place<P: TaskletProgram>(
+        &self,
+        dpu: &mut Dpu,
+        programs: &mut [P],
+    ) -> DpuRunReport {
         assert!(
             programs.len() <= dpu.config().max_tasklets,
             "{} programs exceed the DPU's {} hardware threads",

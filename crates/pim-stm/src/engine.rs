@@ -108,8 +108,8 @@ pub(crate) fn run_tuned_retry_loop<R>(
         let committed = result.and_then(|value| alg.commit(shared, tx, p).map(|()| value));
         match committed {
             Ok(value) => {
-                tx.stamp_commit(p.timestamp());
                 account_commit(tx, p);
+                tx.stamp_commit(p.timestamp());
                 if let Some(c) = counters.as_deref_mut() {
                     c.commits += 1;
                 }
@@ -286,8 +286,8 @@ impl TxEngine {
     /// [`TxEngine::on_abort`] and restart the transaction body.
     pub fn commit(&mut self, p: &mut dyn Platform) -> Result<(), Abort> {
         self.alg.commit(&self.shared, &mut self.slot, p)?;
-        self.slot.stamp_commit(p.timestamp());
         account_commit(&mut self.slot, p);
+        self.slot.stamp_commit(p.timestamp());
         self.counters.commits += 1;
         tune_observe(&mut self.shared, &mut self.tuner, p, None);
         Ok(())
@@ -433,7 +433,7 @@ impl crate::var::TxOps for EngineOps<'_> {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell;
+    use std::cell::RefCell;
 
     use pim_sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
 
@@ -442,13 +442,29 @@ mod tests {
     use crate::platform::AtomicOutcome;
     use crate::var::TxOps;
 
-    /// A simulator platform that counts its clock reads.
-    struct StampCounter<'a> {
-        ctx: TaskletCtx<'a>,
-        reads: Cell<u64>,
+    /// A platform call that [`StampLog`] records.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Begin,
+        Commit,
+        Abort,
+        Timestamp,
     }
 
-    impl Platform for StampCounter<'_> {
+    /// A simulator platform that logs its attempt boundaries and clock
+    /// reads.
+    struct StampLog<'a> {
+        ctx: TaskletCtx<'a>,
+        calls: RefCell<Vec<Call>>,
+    }
+
+    impl StampLog<'_> {
+        fn log(&self, call: Call) {
+            self.calls.borrow_mut().push(call);
+        }
+    }
+
+    impl Platform for StampLog<'_> {
         fn load(&mut self, addr: Addr) -> u64 {
             self.ctx.load(addr)
         }
@@ -470,14 +486,17 @@ mod tests {
         }
 
         fn begin_attempt(&mut self) {
+            self.log(Call::Begin);
             Platform::begin_attempt(&mut self.ctx)
         }
 
         fn commit_attempt(&mut self) {
+            self.log(Call::Commit);
             Platform::commit_attempt(&mut self.ctx)
         }
 
         fn abort_attempt(&mut self) {
+            self.log(Call::Abort);
             Platform::abort_attempt(&mut self.ctx)
         }
 
@@ -486,7 +505,7 @@ mod tests {
         }
 
         fn timestamp(&self) -> u64 {
-            self.reads.set(self.reads.get() + 1);
+            self.log(Call::Timestamp);
             self.ctx.timestamp()
         }
 
@@ -495,9 +514,9 @@ mod tests {
         }
     }
 
-    /// Clock reads taken by one transaction that aborts `aborts` times
-    /// before it commits, through the closure API and the step API.
-    fn clock_reads(aborts: u64) -> [u64; 2] {
+    /// The calls made by one transaction that aborts `aborts` times before
+    /// it commits, through the closure API and the step API.
+    fn stamp_calls(aborts: u64) -> [Vec<Call>; 2] {
         let mut dpu = Dpu::new(DpuConfig::small());
         let shared = StmShared::allocate(&mut dpu, StmConfig::small_wram(StmKind::Norec)).unwrap();
         let mut slot = shared.register_tasklet(&mut dpu, 0).unwrap();
@@ -505,7 +524,7 @@ mod tests {
         let mut stats = TaskletStats::new();
 
         let ctx = TaskletCtx::new(&mut dpu, &mut stats, 0, 1, 0);
-        let mut p = StampCounter { ctx, reads: Cell::new(0) };
+        let mut p = StampLog { ctx, calls: RefCell::new(Vec::new()) };
         let alg = algorithm_for(StmKind::Norec);
         let mut attempts = 0;
         run_retry_loop(alg, &shared, &mut slot, &mut p, None, |tx| {
@@ -517,7 +536,7 @@ mod tests {
             }
             Ok(())
         });
-        let loop_reads = p.reads.replace(0);
+        let loop_calls = p.calls.take();
         assert_eq!(attempts, aborts + 1);
 
         // A fresh transaction for the step API.
@@ -532,13 +551,33 @@ mod tests {
         engine.commit(&mut p).unwrap();
         let stamps = engine.take_stamps();
         assert!(stamps.first_attempt.is_some() && stamps.committed.is_some());
-        [loop_reads, p.reads.get()]
+        [loop_calls, p.calls.take()]
     }
 
     #[test]
     fn retries_do_not_read_the_clock() {
         for aborts in [0, 1, 5] {
-            assert_eq!(clock_reads(aborts), [2, 2], "{aborts} aborts");
+            let reads = stamp_calls(aborts)
+                .map(|calls| calls.iter().filter(|&&c| c == Call::Timestamp).count());
+            assert_eq!(reads, [2, 2], "{aborts} aborts");
+        }
+    }
+
+    #[test]
+    fn stamps_read_the_clock_right_after_the_attempt_boundaries() {
+        // On threads the timestamp is the latest boundary's instant, so the
+        // first-attempt stamp must follow begin_attempt and the commit
+        // stamp must follow commit_attempt.
+        use Call::*;
+        for aborts in [0, 2] {
+            let mut expected = vec![Begin, Timestamp];
+            for _ in 0..aborts {
+                expected.extend([Abort, Begin]);
+            }
+            expected.extend([Commit, Timestamp]);
+            for calls in stamp_calls(aborts) {
+                assert_eq!(calls, expected, "{aborts} aborts");
+            }
         }
     }
 }

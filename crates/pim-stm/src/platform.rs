@@ -103,13 +103,17 @@ pub trait Platform {
     /// Identifier of the executing tasklet (0-based, < 24).
     fn tasklet_id(&self) -> usize;
 
-    /// Current reading of this platform's clock in its native time domain:
-    /// the tasklet's virtual cycle count on the simulator, nanoseconds since
-    /// the process-wide epoch on the threaded executor. The retry core
-    /// stamps each transaction's first attempt and commit with this clock so
-    /// the service layer can separate queueing delay from STM retry time
-    /// (see [`crate::txslot::TxStamps`]). Platforms without a clock report 0
-    /// — stamps then carry no information but nothing breaks.
+    /// This platform's clock in its native time domain: the tasklet's
+    /// virtual cycle count on the simulator; on the threaded executor,
+    /// nanoseconds since the [`crate::threaded::wall_clock_nanos`] epoch at
+    /// the **latest attempt boundary** (the instant
+    /// [`Platform::begin_attempt`] or [`Platform::commit_attempt`] read),
+    /// not a fresh clock read. Callers therefore stamp right after those
+    /// calls: the retry core stamps each transaction's first attempt after
+    /// `begin_attempt` and its commit after `commit_attempt`, so the
+    /// service layer can separate queueing delay from STM retry time (see
+    /// [`crate::txslot::TxStamps`]). Platforms without a clock report 0 —
+    /// stamps then carry no information but nothing breaks.
     fn timestamp(&self) -> u64 {
         0
     }

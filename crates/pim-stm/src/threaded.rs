@@ -64,16 +64,33 @@ pub const DEFAULT_MRAM_WORDS: u32 = 1 << 20;
 /// choice is deterministic and the first attempt is always sampled.
 pub const PHASE_SAMPLE_EVERY: u64 = 32;
 
-/// Monotonic nanoseconds since the process-wide epoch (first call wins).
+/// Monotonic nanoseconds since the process-wide epoch.
 ///
-/// This is the threaded executor's [`Platform::timestamp`] clock **and** the
-/// clock a service driver should stamp arrivals/dispatches with, so queueing
-/// delay (`dispatch − arrival`) and STM service time (`commit −
-/// first_attempt`) are measured on one time base across all threads.
+/// This is the time base of the threaded executor's [`Platform::timestamp`]
+/// **and** the clock a service driver should stamp arrivals and dispatches
+/// with, so queueing delay (`dispatch − arrival`) and STM service time
+/// (`commit − first_attempt`) are measured on one time base across all
+/// threads. Each call reads the clock once. `Platform::timestamp` does not
+/// call this: it converts the instant of the latest attempt boundary, which
+/// the platform has already read, to the same base.
+///
+/// The epoch is fixed by the first call of this function or the first
+/// [`ThreadedDpu::run`] tasklet, whichever comes first, so every instant a
+/// platform converts lies at or after it.
 pub fn wall_clock_nanos() -> u64 {
+    nanos_since_epoch(Instant::now())
+}
+
+/// The process-wide epoch of [`wall_clock_nanos`] (the first call wins).
+fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    *EPOCH.get_or_init(Instant::now)
+}
+
+/// `instant` as nanoseconds since the epoch (0 for an instant before it).
+fn nanos_since_epoch(instant: Instant) -> u64 {
+    let since = instant.saturating_duration_since(epoch());
+    u64::try_from(since.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Atomic word storage shared by all tasklet threads.
@@ -153,7 +170,9 @@ pub struct ThreadPlatform<'a> {
     profile: &'a mut ExecProfile,
     tasklet_id: usize,
     phase: Phase,
-    /// Start of the interval not yet charged to any phase.
+    /// Start of the interval not yet charged to any phase; right after an
+    /// attempt boundary, that boundary's instant (see
+    /// [`Platform::timestamp`]).
     mark: Instant,
     /// Whether an attempt is being accounted (mirrors the simulator's
     /// transactional flag).
@@ -172,6 +191,9 @@ pub struct ThreadPlatform<'a> {
 
 impl<'a> ThreadPlatform<'a> {
     fn new(memory: &'a SharedMemory, profile: &'a mut ExecProfile, tasklet_id: usize) -> Self {
+        // Fix the epoch before the first mark, so no mark predates it and
+        // stamps never saturate to 0.
+        epoch();
         ThreadPlatform {
             memory,
             profile,
@@ -364,8 +386,11 @@ impl Platform for ThreadPlatform<'_> {
         self.tasklet_id
     }
 
+    /// The instant of the latest attempt boundary (or thread start),
+    /// which `begin_attempt` and `commit_attempt` have already read: the
+    /// retry core stamps right after them, so a stamp costs no clock read.
     fn timestamp(&self) -> u64 {
-        wall_clock_nanos()
+        nanos_since_epoch(self.mark)
     }
 
     fn compute(&mut self, instructions: u64) {
@@ -842,6 +867,35 @@ mod tests {
         assert!(merged.dma_words() > 0);
         for profile in &report.profiles {
             assert_eq!(profile.commits(), 100);
+        }
+    }
+
+    #[test]
+    fn stamps_are_boundary_instants_inside_the_run() {
+        let mut dpu = ThreadedDpu::new(StmConfig::small_wram(StmKind::TinyEtlWb)).unwrap();
+        let counter = dpu.alloc(Tier::Mram, 1).unwrap();
+        let per_tasklet = 2 * PHASE_SAMPLE_EVERY;
+        let stamps = Mutex::new(Vec::new());
+        let before = wall_clock_nanos();
+        dpu.run(2, |mut tx| {
+            // Covers sampled and unsampled attempts alike.
+            for _ in 0..per_tasklet {
+                tx.transaction(|view| {
+                    let v = view.read(counter)?;
+                    view.write(counter, v + 1)?;
+                    Ok(())
+                });
+                stamps.lock().unwrap().push(tx.last_tx_stamps());
+            }
+        })
+        .unwrap();
+        let after = wall_clock_nanos();
+        let stamps = stamps.into_inner().unwrap();
+        assert_eq!(stamps.len() as u64, 2 * per_tasklet);
+        for s in stamps {
+            let first = s.first_attempt.expect("first-attempt stamp");
+            let committed = s.committed.expect("commit stamp");
+            assert!(before <= first && first <= committed && committed <= after, "{s:?}");
         }
     }
 

@@ -189,8 +189,7 @@ impl TxSlot {
 
     /// Stamps the begin of the current transaction's **first** attempt with
     /// `now()`; retries of the same transaction keep the original stamp and
-    /// do not call `now` at all (on the threaded executor a clock read costs
-    /// tens of nanoseconds).
+    /// do not call `now` at all.
     pub fn stamp_first_attempt(&mut self, now: impl FnOnce() -> u64) {
         if self.stamps.first_attempt.is_none() {
             self.stamps.first_attempt = Some(now());

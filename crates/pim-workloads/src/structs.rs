@@ -320,6 +320,16 @@ impl TxQueue {
         let tail = tx.get(self.tail)?;
         Ok(tail - head)
     }
+
+    /// Host-side (non-transactional) snapshot of the queued values, oldest
+    /// first. Same quiescence caveat as [`TxHashMap::host_get`].
+    pub fn host_items<M: WordAccess + ?Sized>(&self, mem: &M) -> Vec<u64> {
+        let head = peek_var(mem, self.head);
+        let tail = peek_var(mem, self.tail);
+        (head..tail)
+            .map(|i| peek_var(mem, self.slots.at((i % u64::from(self.capacity)) as u32)))
+            .collect()
+    }
 }
 
 #[cfg(test)]
