@@ -24,7 +24,11 @@
 //!   the merged global state is the same.
 
 use pim_stm_suite::fleet::{run, FleetConfig, FleetReport, RebalancePolicy};
+use pim_stm_suite::service::{
+    run_service_fleet, ArrivalProcess, ServiceConfig, ServiceFleetConfig,
+};
 use pim_stm_suite::sim::KeyDist;
+use pim_stm_suite::stm::TunePolicy;
 use pim_stm_suite::workloads::{RoutingPolicy, ShardedWorkloadConfig};
 
 fn workload() -> ShardedWorkloadConfig {
@@ -243,4 +247,67 @@ fn skewed_streams_conserve_and_report_imbalance() {
     assert_eq!(report.total_increments, 2 * 160, "skew must not break conservation");
     assert!(report.imbalance.hottest_commit_share > 1.5 / 8.0);
     assert!(report.imbalance.max_over_mean_commits > 1.5);
+}
+
+/// FNV-1a over a report's `Debug` text: a changed count, ledger entry or
+/// last bit of any float changes the digest.
+fn debug_digest(report: &impl std::fmt::Debug) -> u64 {
+    format!("{report:?}").bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Whole-report goldens of the round engine under each of its mechanisms:
+/// the static partition, skew-adaptive recuts with the overlapped
+/// pipeline, and abort-and-retry deferral with per-shard tuners. Any
+/// change to routing, ledger charging, pipeline credit, migration or the
+/// makespan's float summation order moves a digest.
+#[test]
+fn fleet_reports_match_their_goldens() {
+    let skewed = workload().with_dist(KeyDist::Zipf { theta: 1.2 });
+    let rebalanced = run(&FleetConfig::new(8, skewed)
+        .with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.25 })
+        .with_overlap(true));
+    assert!(rebalanced.rebalance.rebalances > 0, "the golden must cover a recut");
+    let retry = run(&FleetConfig::new(8, workload())
+        .with_routing(RoutingPolicy::AbortAndRetry)
+        .with_tune(TunePolicy::Windowed { window: 8 }));
+    assert!(retry.total_rejected > 0, "the golden must cover deferred re-dispatch");
+    let digests = [debug_digest(&fleet(8)), debug_digest(&rebalanced), debug_digest(&retry)];
+    assert_eq!(
+        digests,
+        [13103482585377642810, 1513041486882132796, 9011987662594676509],
+        "fleet report goldens moved"
+    );
+}
+
+/// Whole-report golden of the service fleet: bursty zipf-0.99 arrivals
+/// over 4 shards with threshold recuts and the overlapped pipeline.
+#[test]
+fn service_fleet_report_matches_its_golden() {
+    let report = run_service_fleet(&service_fleet_config());
+    assert!(report.rebalances > 0, "the golden must cover a recut");
+    // The execution outcome: what the cost model may never move.
+    assert_eq!(
+        (report.rounds, report.completed, report.commits),
+        (8, 1000, 1000),
+        "service fleet outcome moved"
+    );
+    assert_eq!((report.rebalances, report.migrated_keys), (7, 14));
+    assert_eq!(report.per_shard_completed, [613, 209, 108, 70]);
+    assert_eq!(debug_digest(&report), 53218450032776072, "service fleet report golden moved");
+}
+
+fn service_fleet_config() -> ServiceFleetConfig {
+    let service =
+        ServiceConfig::new(ArrivalProcess::Bursty { rate: 400_000.0, burst: 32.0, duty: 0.25 })
+            .with_tasklets(3)
+            .with_keys(256)
+            .with_requests(1000)
+            .with_dist(KeyDist::Zipf { theta: 0.99 })
+            .with_seed(11);
+    ServiceFleetConfig::new(service, 4)
+        .with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.25 })
+        .with_overlap(true)
+        .with_round_requests(125)
 }
