@@ -32,7 +32,7 @@ use pim_stm::{StmShared, TimeDomain, TxSlot};
 use pim_workloads::{GlobalTx, ShardMap};
 
 use pim_fleet::runtime::{GATHER_SUMMARY_BYTES, MIGRATION_BYTES_PER_KEY, ROUND_DESCRIPTOR_BYTES};
-use pim_fleet::{HostCostModel, RebalancePolicy, Rebalancer, TransferLedger};
+use pim_fleet::{HostCostModel, RebalancePolicy, Rebalancer, RoundStats, TransferLedger};
 
 use crate::arrival::ArrivalProcess;
 use crate::latency::LatencyPanel;
@@ -170,6 +170,10 @@ pub struct ServiceFleetReport {
     pub rebalances: u64,
     /// Keys copied across shards at rebalance boundaries.
     pub migrated_keys: u64,
+    /// Bytes those copies moved through the ledger:
+    /// [`MIGRATION_BYTES_PER_KEY`] per key gathered from the old owner plus
+    /// as many scattered to the new one.
+    pub migration_bytes: u64,
     /// Requests served per shard (by final routing).
     pub per_shard_completed: Vec<u64>,
     /// Ticks per second of the panel's (cycle) domain.
@@ -265,13 +269,11 @@ pub fn run_service_fleet(config: &ServiceFleetConfig) -> ServiceFleetReport {
     let mut panel = LatencyPanel::new(TimeDomain::Cycles);
     let mut commits = 0u64;
     let mut aborts = 0u64;
-    let mut rounds = 0u64;
+    let mut rounds: Vec<RoundStats> = Vec::new();
     let mut rebalances = 0u64;
     let mut migrated_keys = 0u64;
+    let mut migration_bytes = 0u64;
     let mut makespan = 0.0f64;
-    let mut dpu_seconds = 0.0f64;
-    let mut host_exposed = 0.0f64;
-    let mut hidden_total = 0.0f64;
     let mut prev_compute = 0.0f64;
     let mut migrated_last_boundary = false;
 
@@ -292,27 +294,26 @@ pub fn run_service_fleet(config: &ServiceFleetConfig) -> ServiceFleetReport {
         let scatter_bytes: Vec<u64> =
             batches.iter().map(|b| b.len() as u64 * REQUEST_WIRE_BYTES).collect();
         let scatter_seconds = ledger.scatter(&scatter_bytes);
-        let pre_seconds =
-            broadcast_seconds + scatter_seconds + config.host.route_seconds(dispatched);
+        let host_route_seconds = config.host.route_seconds(dispatched);
+        let pre_seconds = broadcast_seconds + scatter_seconds + host_route_seconds;
 
         // Pipeline: this round's pre-work hides under the previous round's
         // compute unless a migration just rewrote shard contents.
-        let overlapped = config.overlap && rounds > 0 && !migrated_last_boundary;
-        let hidden = if overlapped { pre_seconds.min(prev_compute) } else { 0.0 };
-        hidden_total += hidden;
-        host_exposed += pre_seconds - hidden;
-        makespan += pre_seconds - hidden;
+        let overlapped = config.overlap && !rounds.is_empty() && !migrated_last_boundary;
+        let hidden_seconds = if overlapped { pre_seconds.min(prev_compute) } else { 0.0 };
 
         // --- Compute: each active shard serves its slice, anchored at the
         // global round-start tick so latencies compose across rounds.
-        let base_ticks = (makespan * clock_hz as f64) as u64;
+        let base_ticks = ((makespan + (pre_seconds - hidden_seconds)) * clock_hz as f64) as u64;
         let mut compute = 0.0f64;
         let mut active = 0u64;
+        let mut gather_bytes: Vec<u64> = vec![0; config.shards as usize];
         for (s, shard) in shards.iter_mut().enumerate() {
             if batches[s].is_empty() {
                 continue;
             }
             active += 1;
+            gather_bytes[s] = GATHER_SUMMARY_BYTES;
             let batch = std::mem::take(&mut batches[s]);
             shard.completed += batch.len() as u64;
             let round = run_sim_round(
@@ -329,24 +330,19 @@ pub fn run_service_fleet(config: &ServiceFleetConfig) -> ServiceFleetReport {
             compute = compute.max(round.report.makespan_seconds());
             panel.merge(&round.panel);
         }
-        dpu_seconds += compute;
-        makespan += compute;
 
-        // --- Host post-work: gather per-shard summaries and merge.
-        let gather_bytes: Vec<u64> = (0..config.shards)
-            .map(|s| if shards[s as usize].completed > 0 { GATHER_SUMMARY_BYTES } else { 0 })
-            .collect();
+        // --- Host post-work: gather the active shards' summaries and merge.
         let gather_seconds = ledger.gather(&gather_bytes);
-        let post_seconds = gather_seconds + config.host.merge_seconds(active);
-        host_exposed += post_seconds;
-        makespan += post_seconds;
+        let host_merge_seconds = config.host.merge_seconds(active);
         prev_compute = compute;
-        rounds += 1;
 
-        // --- Rebalance boundary: recut, then copy moved keys old → new.
+        // --- Rebalance boundary: recut, then move each populated moved key
+        // from its old owner (gather) to its new owner (scatter).
         migrated_last_boundary = false;
+        let mut migration_seconds = 0.0f64;
         if let Some(new_map) = rebalancer.plan(&map, !pending.is_empty()) {
-            let mut migration_bytes: Vec<u64> = vec![0; config.shards as usize];
+            let mut from_bytes: Vec<u64> = vec![0; config.shards as usize];
+            let mut to_bytes: Vec<u64> = vec![0; config.shards as usize];
             for key in 0..total_keys {
                 let old = map.owner(key);
                 let new = new_map.owner(key);
@@ -365,30 +361,57 @@ pub fn run_service_fleet(config: &ServiceFleetConfig) -> ServiceFleetReport {
                         .host_put(&mut receiver.dpu, u64::from(key), value)
                         .expect("full-keyspace shard maps cannot fill");
                     migrated_keys += 1;
-                    migration_bytes[new as usize] += MIGRATION_BYTES_PER_KEY;
+                    from_bytes[old as usize] += MIGRATION_BYTES_PER_KEY;
+                    to_bytes[new as usize] += MIGRATION_BYTES_PER_KEY;
                 }
             }
-            let migrate_seconds = ledger.scatter(&migration_bytes);
-            host_exposed += migrate_seconds;
-            makespan += migrate_seconds;
+            migration_seconds = ledger.gather(&from_bytes) + ledger.scatter(&to_bytes);
+            migration_bytes += from_bytes.iter().sum::<u64>() + to_bytes.iter().sum::<u64>();
             map = new_map;
             rebalances += 1;
             migrated_last_boundary = true;
         }
+
+        let stats = RoundStats {
+            round: rounds.len(),
+            dispatched_subtxns: dispatched,
+            active_shards: active,
+            commits: 0,
+            rejected: 0,
+            broadcast_seconds,
+            scatter_seconds,
+            dpu_seconds: compute,
+            dpu_mean_seconds: 0.0,
+            gather_seconds,
+            host_route_seconds,
+            host_merge_seconds,
+            bytes_to_dpus: 0,
+            bytes_from_dpus: 0,
+            migrated_keys: 0,
+            migration_seconds,
+            overlapped,
+            hidden_seconds,
+        };
+        makespan += stats.pipelined_seconds();
+        rounds.push(stats);
     }
 
     ServiceFleetReport {
         shards: config.shards,
-        rounds,
+        rounds: rounds.len() as u64,
         completed: panel.completed(),
         commits,
         aborts,
         makespan_seconds: makespan,
-        dpu_seconds,
-        host_seconds: host_exposed,
-        hidden_seconds: hidden_total,
+        dpu_seconds: rounds.iter().map(|r| r.dpu_seconds).sum(),
+        host_seconds: rounds
+            .iter()
+            .map(|r| r.pre_seconds() - r.hidden_seconds + r.post_seconds())
+            .sum(),
+        hidden_seconds: rounds.iter().map(|r| r.hidden_seconds).sum(),
         rebalances,
         migrated_keys,
+        migration_bytes,
         per_shard_completed: shards.iter().map(|s| s.completed).collect(),
         ticks_per_second: clock_hz as f64,
         arrival: config.arrival(),
@@ -483,6 +506,55 @@ mod tests {
         assert!(
             (shrink - pipelined.hidden_seconds).abs() < 1e-12,
             "makespan shrinks by exactly the hidden seconds"
+        );
+    }
+
+    /// One request per round keeps exactly one shard active per round, so
+    /// every round gathers one summary even after the whole fleet has
+    /// served requests: exposed host time is the per-round cost of
+    /// broadcast, one request's scatter and route, one summary's gather
+    /// and one shard's merge.
+    #[test]
+    fn gather_charges_only_the_shards_active_in_the_round() {
+        let service = ServiceConfig::new(ArrivalProcess::Poisson { rate: 4_000_000.0 })
+            .with_tasklets(2)
+            .with_keys(256)
+            .with_requests(64);
+        let config = ServiceFleetConfig::new(service, 4).with_round_requests(1);
+        let report = run_service_fleet(&config);
+        assert_eq!(report.rounds, 64);
+        assert!(report.per_shard_completed.iter().all(|&c| c > 0), "every shard must serve");
+        let mut ledger = TransferLedger::new(config.transfer);
+        let per_round = ledger.broadcast(ROUND_DESCRIPTOR_BYTES)
+            + ledger.scatter(&[REQUEST_WIRE_BYTES])
+            + config.host.route_seconds(1)
+            + ledger.gather(&[GATHER_SUMMARY_BYTES])
+            + config.host.merge_seconds(1);
+        let expected = per_round * report.rounds as f64;
+        assert!(
+            (report.host_seconds - expected).abs() < 1e-12,
+            "host seconds {} vs {expected} for one active shard per round",
+            report.host_seconds
+        );
+    }
+
+    /// A migrated key is paid for in both directions, like the counter
+    /// fleet's migrations: gathered from the old owner, scattered to the
+    /// new one.
+    #[test]
+    fn migrations_charge_the_donor_gather_and_the_receiver_scatter() {
+        let mut config = fleet_config();
+        config.service =
+            config.service.with_dist(KeyDist::Zipf { theta: 0.99 }).with_requests(1000);
+        let config = config
+            .with_rebalance(RebalancePolicy::Threshold { max_over_mean: 1.2 })
+            .with_round_requests(200);
+        let report = run_service_fleet(&config);
+        assert!(report.migrated_keys > 0);
+        assert_eq!(report.migration_bytes, 2 * MIGRATION_BYTES_PER_KEY * report.migrated_keys);
+        assert!(
+            (report.makespan_seconds - report.dpu_seconds - report.host_seconds).abs() < 1e-12,
+            "makespan splits into compute and exposed host time"
         );
     }
 
