@@ -1305,6 +1305,55 @@ mod tests {
         assert!(err.contains("--executor"), "{err}");
     }
 
+    /// A service fleet of more shards than keys is a typed error naming
+    /// the bound, not a partitioning panic.
+    #[test]
+    fn service_fleet_with_more_shards_than_keys_is_rejected() {
+        let options = Options {
+            service: true,
+            fleet: true,
+            dpus: Some(vec![100_000]),
+            scale: 0.1,
+            ..Options::default()
+        };
+        let err = run_service_mode(&options).unwrap_err();
+        assert!(err.contains("shards = 100000 exceeds keys = 1024"), "{err}");
+    }
+
+    fn oversubscribed_service() -> Options {
+        Options {
+            service: true,
+            tasklets: vec![30],
+            scale: 0.1,
+            rates: Some(vec![100_000.0]),
+            ..Options::default()
+        }
+    }
+
+    /// More tasklets than a DPU has hardware threads: rejected before the
+    /// simulator's scheduler can panic on them.
+    #[test]
+    fn service_with_too_many_tasklets_is_rejected_on_the_simulator() {
+        let err = run_service_mode(&oversubscribed_service()).unwrap_err();
+        assert!(err.contains("tasklets = 30 lies outside 1..=24"), "{err}");
+    }
+
+    /// The same bound on the threaded executor, rejected before spawning.
+    #[test]
+    fn service_with_too_many_tasklets_is_rejected_on_threads() {
+        let options = Options { executors: vec![Executor::Threaded], ..oversubscribed_service() };
+        let err = run_service_mode(&options).unwrap_err();
+        assert!(err.contains("tasklets = 30 lies outside 1..=24"), "{err}");
+    }
+
+    /// The same bound on every shard of a service fleet.
+    #[test]
+    fn service_fleet_with_too_many_tasklets_is_rejected() {
+        let options = Options { fleet: true, ..oversubscribed_service() };
+        let err = run_service_mode(&options).unwrap_err();
+        assert!(err.contains("tasklets = 30 lies outside 1..=24"), "{err}");
+    }
+
     #[test]
     fn service_mode_runs_and_honours_the_tier_default() {
         // Small stream, one rate: the smoke path of both variants.

@@ -139,6 +139,15 @@ pub struct ServiceFleetKnobs {
     pub overlap: bool,
 }
 
+impl ServiceFleetKnobs {
+    /// The fleet configuration serving `service` under these knobs.
+    fn config(&self, service: ServiceConfig) -> ServiceFleetConfig {
+        ServiceFleetConfig::new(service, self.shards)
+            .with_rebalance(self.rebalance)
+            .with_overlap(self.overlap)
+    }
+}
+
 /// Mean ± CI95 spread over the `--repeat` runs of one cell.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceSpread {
@@ -237,7 +246,8 @@ impl ServiceSweep {
     /// # Errors
     ///
     /// Returns a message when the arrival shape does not parse at a rate of
-    /// the ladder.
+    /// the ladder, or naming the bound a cell's configuration violates
+    /// ([`ServiceConfig::check`], [`ServiceFleetConfig::check`]).
     pub fn run(
         options: ServiceSweepOptions,
         fleet: Option<ServiceFleetKnobs>,
@@ -248,11 +258,13 @@ impl ServiceSweep {
             let arrival = ArrivalProcess::parse(&options.arrival, rate)?;
             match &fleet {
                 None => {
+                    options.config(arrival).check()?;
                     for &executor in &options.executors {
                         points.push(Self::run_single_cell(&options, arrival, executor));
                     }
                 }
                 Some(knobs) => {
+                    knobs.config(options.config(arrival)).check()?;
                     fleet_points.push(Self::run_fleet_cell(&options, arrival, knobs));
                 }
             }
@@ -291,10 +303,7 @@ impl ServiceSweep {
         let runs: Vec<ServiceFleetReport> = (0..options.repeat)
             .map(|i| {
                 let service = options.config(arrival).with_seed(repeat_seed(options.seed, i));
-                let config = ServiceFleetConfig::new(service, knobs.shards)
-                    .with_rebalance(knobs.rebalance)
-                    .with_overlap(knobs.overlap);
-                run_service_fleet(&config)
+                run_service_fleet(&knobs.config(service))
             })
             .collect();
         let p99_ticks: Vec<u64> = runs.iter().map(|r| r.panel.sojourn.quantile(0.99)).collect();

@@ -57,12 +57,6 @@ impl HostCostModel {
     pub fn merge_seconds(&self, active_shards: u64) -> f64 {
         self.merge_seconds_per_shard * active_shards as f64
     }
-
-    /// Host seconds for one round that dispatched `subtxns` sub-transactions
-    /// to `active_shards` shards (route + merge).
-    pub fn round_seconds(&self, subtxns: u64, active_shards: u64) -> f64 {
-        self.route_seconds(subtxns) + self.merge_seconds(active_shards)
-    }
 }
 
 /// Running totals for one primitive kind.
@@ -182,11 +176,8 @@ mod tests {
     #[test]
     fn host_cost_model_is_linear_in_work() {
         let host = HostCostModel::default();
-        let one = host.round_seconds(1, 1);
-        let ten = host.round_seconds(10, 10);
-        assert!((ten - 10.0 * one).abs() < 1e-15);
-        assert_eq!(host.round_seconds(0, 0), 0.0);
-        // round = route + merge, exactly.
-        assert_eq!(host.round_seconds(7, 3), host.route_seconds(7) + host.merge_seconds(3));
+        assert!((host.route_seconds(10) - 10.0 * host.route_seconds(1)).abs() < 1e-15);
+        assert!((host.merge_seconds(10) - 10.0 * host.merge_seconds(1)).abs() < 1e-15);
+        assert_eq!(host.route_seconds(0) + host.merge_seconds(0), 0.0);
     }
 }

@@ -12,81 +12,16 @@
 //!
 //! ## The host-API contract
 //!
-//! **Primitive semantics** (SimplePIM-shaped, see [`host`]): the host owns
-//! three data-movement primitives, each charged against the same
-//! [`pim_sim::CpuTransferModel`] the analytic model uses —
+//! **Primitives** (SimplePIM-shaped, see [`host`]): the host moves data
+//! only by `broadcast`, `scatter` and `gather`, each charged against the
+//! same [`pim_sim::CpuTransferModel`] the analytic model uses and recorded
+//! per primitive in a [`TransferLedger`].
 //!
-//! * `broadcast(bytes)` — one buffer replicated to all DPUs; the buffer
-//!   crosses the host bus once (rank hardware fans out), so cost is
-//!   DPU-count independent;
-//! * `scatter(bytes_per_dpu)` — per-DPU payloads pushed in one
-//!   rank-parallel bulk operation: one fixed overhead plus summed bytes
-//!   over bulk bandwidth;
-//! * `gather(bytes_per_dpu)` — the DPU→host mirror of scatter.
-//!
-//! Every invocation is recorded per primitive (calls/bytes/seconds) in a
-//! [`TransferLedger`], so transfer cost is *explicit and attributable*
-//! rather than folded into a constant.
-//!
-//! **Barrier/round model** (see [`runtime`]): the dispatcher cuts the
-//! global transaction stream into rounds of at most
-//! [`FleetConfig::txns_per_round`] transactions. One round is
-//!
-//! ```text
-//! host routing → broadcast(descriptor) → scatter(batches)
-//!   → [ all active shards run to completion, in parallel ]   ← barrier
-//!   → gather(summaries) → host merge
-//! ```
-//!
-//! The barrier means a round costs the *slowest* shard's DPU time; a
-//! skewed shard therefore stalls the whole fleet, which is exactly what
-//! the imbalance statistics ([`Imbalance`]) quantify. Transactions whose
-//! keys span shards are handled by the configured
-//! [`pim_workloads::RoutingPolicy`]: split up front (`route-to-owner`) or
-//! dispatched home, rejected by the DPU via an explicit abort, and
-//! re-dispatched split in the **next** round (`abort-retry`).
-//!
-//! **Transfer-cost accounting**: a round's modeled serial time is
-//! `pre + compute + post` with
-//! `pre = broadcast + scatter + host routing`,
-//! `compute = max(shard DPU seconds)` and
-//! `post = gather + host merge + migration`, summed into
-//! [`FleetReport::makespan_seconds`]. All host costs are modeled
-//! ([`HostCostModel`]), never measured — a seeded fleet run is
-//! bit-identical on any machine and any `host_workers` setting.
-//!
-//! **Pipeline round model** (opt-in via [`FleetConfig::overlap`]): the
-//! host double-buffers rounds — while round *k*'s shards compute, it
-//! routes and scatters round *k+1*. Execution order and results never
-//! change; the cost model changes to
-//!
-//! ```text
-//! round k contributes   pre_k − hidden_k + compute_k + post_k
-//! hidden_k            = min(pre_k, compute_{k−1})   if overlap-eligible
-//!                     = 0                            otherwise
-//! ```
-//!
-//! which is the `max(compute_{k−1}, pre_k)` double-buffering identity
-//! written as a per-round credit. A round is overlap-eligible iff its
-//! inputs needed nothing from the previous round: not round 0, no
-//! deferred abort-retry re-dispatches entering it (those are discovered
-//! *during* the previous compute), and no migration at the previous
-//! boundary. [`PipelineStats`] reports hidden vs exposed pre-work.
-//!
-//! **Rebalance migration-cost accounting** (opt-in via
-//! [`FleetConfig::rebalance`]): between rounds a [`RebalancePolicy`] may
-//! recut the range partition toward the *dispatched* key-load window
-//! (dispatch-side data only, so the trigger is deterministic and does
-//! not stall the pipeline decision). A recut that moves keys pays for
-//! itself inside the model: each moved key's 8-byte counter is charged
-//! through the ledger as a real `gather` (old owner → host) plus
-//! `scatter` (host → new owner). The migration seconds land in the
-//! boundary round's `post`; the byte counts fold into the analytic
-//! cross-check as documented on [`RoundStats::bytes_to_dpus`]. The next
-//! round is never overlap-eligible, and deferred sub-transactions are
-//! re-routed under the new map. [`RebalanceStats`] totals what moved and
-//! what it cost, and [`FleetReport::cumulative_throughput_series`]
-//! exposes the break-even round.
+//! **Round model**: one [`RoundEngine`] (see [`engine`]) runs every
+//! sharded workload through the same rounds, costs and rebalancing:
+//! the counter fleet of [`runtime`] and `pim_service`'s request fleet,
+//! each plugged in through [`ShardWorkload`]. A round costs its slowest
+//! shard, which the imbalance statistics ([`Imbalance`]) quantify.
 //!
 //! **Fleet reports vs single-DPU profiles**: every shard produces
 //! ordinary cycle-domain [`pim_stm::ExecProfile`]s; the fleet merges them
@@ -102,11 +37,13 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
+pub mod engine;
 pub mod host;
 pub mod rebalance;
 pub mod report;
 pub mod runtime;
 
+pub use engine::{BatchOutcome, EngineRun, Migration, RoundEngine, ShardWorkload};
 pub use host::{HostCostModel, PrimitiveStats, TransferLedger};
 pub use rebalance::{RebalancePolicy, Rebalancer};
 pub use report::{FleetReport, Imbalance, PipelineStats, RebalanceStats, RoundStats, ShardStats};

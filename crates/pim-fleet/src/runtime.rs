@@ -1,45 +1,13 @@
-//! The fleet runtime: N simulated shard DPUs behind one host dispatcher.
+//! The counter fleet: a sharded counter workload on the [`RoundEngine`].
 //!
-//! [`run`] executes one sharded workload on a fleet described by
-//! [`FleetConfig`]:
-//!
-//! 1. **Partition** — the global keyspace is range-partitioned over the N
-//!    shard DPUs ([`ShardMap`]); each shard DPU is sized to its slice plus
-//!    its STM metadata, so fleets of thousands of DPUs do not allocate
-//!    thousands of 64 MB MRAM banks.
-//! 2. **Dispatch rounds** — the host takes up to
-//!    [`FleetConfig::txns_per_round`] transactions off the global stream,
-//!    routes them ([`RoutingPolicy`]), `broadcast`s the round descriptor,
-//!    `scatter`s each shard's batch, runs every active shard's simulator
-//!    — in parallel across host worker threads — to completion (the
-//!    inter-round **barrier**: the round ends when its slowest shard
-//!    does), `gather`s the per-shard summaries, and pays the modeled host
-//!    routing/merge cost. Probe rejections re-enter the stream as split
-//!    sub-transactions in the *next* round.
-//! 3. **Rebalance (optional)** — with a [`RebalancePolicy`] other than
-//!    `Off`, the host tracks the dispatched key stream and recuts the
-//!    range partition between rounds; moved key ranges are paid for as
-//!    real `gather` + `scatter` bytes through the ledger, and deferred
-//!    sub-transactions are re-routed under the new map.
-//! 4. **Pipeline (optional)** — with [`FleetConfig::overlap`] the host
-//!    routes and scatters round *k+1* while round *k*'s shards compute.
-//!    Execution order never changes; only the *cost model* does: an
-//!    overlap-eligible round's pre-work (broadcast + scatter + routing)
-//!    is hidden up to the previous round's compute time.
-//! 5. **Report** — per-shard stats, per-round stats, the merged
-//!    cycle-domain [`pim_stm::ExecProfile`], the transfer ledger,
-//!    pipeline/rebalance panels and the partition-invariant fingerprint
-//!    land in one [`FleetReport`].
-//!
-//! Determinism: shard simulators are deterministic, the stream is seeded,
-//! and all host costs are modeled (never measured) — so the report is
-//! bit-identical regardless of `host_workers` and of the machine it runs
-//! on. The worker threads only decide *wall-clock* speed of the
-//! simulation itself. Rebalancing keeps this property because its trigger
-//! reads only the dispatch-order key window, and pipelining keeps it
-//! because hiding is pure arithmetic over modeled costs.
-
-use std::collections::VecDeque;
+//! [`run`] range-partitions the global keyspace of a
+//! [`ShardedWorkloadConfig`] over N shard DPUs ([`ShardMap`]), each sized
+//! to its slice plus its STM metadata. What is specific to counters:
+//! transactions split per owner by the [`RoutingPolicy`] (abort-and-retry
+//! probe rejections re-enter the next round split), a recut moves counter
+//! values with their keys, and the report adds per-shard stats, the merged
+//! cycle-domain [`pim_stm::ExecProfile`] and the partition-invariant
+//! fingerprint ([`FleetReport`]).
 
 use pim_sim::{CpuTransferModel, Dpu, DpuConfig, Scheduler, TaskletProgram};
 use pim_stm::profile::TimeDomain;
@@ -48,27 +16,16 @@ use pim_stm::{
     TunePolicy, Tuner, TxSlot,
 };
 use pim_workloads::sharded::{
-    deal_batch, generate_stream, route, ShardData, ShardProgram, ShardTx, FINGERPRINT_SEED,
+    deal_batch, generate_stream, route, GlobalTx, ShardData, ShardProgram, ShardTx,
+    FINGERPRINT_SEED,
 };
 use pim_workloads::{RoutingPolicy, ShardMap, ShardedWorkloadConfig, TxMachine};
 
-use crate::host::{HostCostModel, TransferLedger};
-use crate::rebalance::{RebalancePolicy, Rebalancer};
-use crate::report::{
-    FleetReport, Imbalance, PipelineStats, RebalanceStats, RoundStats, ShardStats,
-};
-
-/// Bytes of the per-round control block the host broadcasts to every DPU
-/// (round number, batch length, flags).
-pub const ROUND_DESCRIPTOR_BYTES: u64 = 64;
-
-/// Bytes of the per-shard result summary the host gathers after each round
-/// (commits, aborts, rejections, checksum).
-pub const GATHER_SUMMARY_BYTES: u64 = 32;
-
-/// Bytes a migrated key costs in **each** direction (its 8-byte counter
-/// word): gathered from the old owner, scattered to the new owner.
-pub const MIGRATION_BYTES_PER_KEY: u64 = 8;
+use crate::engine::{BatchOutcome, Migration, RoundEngine, ShardWorkload};
+pub use crate::engine::{GATHER_SUMMARY_BYTES, MIGRATION_BYTES_PER_KEY, ROUND_DESCRIPTOR_BYTES};
+use crate::host::HostCostModel;
+use crate::rebalance::RebalancePolicy;
+use crate::report::{FleetReport, Imbalance, ShardStats};
 
 /// Everything that defines one fleet run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -214,15 +171,6 @@ struct ShardState {
     /// the round and harvests it back afterwards. `None` entries mean the
     /// tasklet has not run a tuned round yet (or tuning is off).
     tuners: Vec<Option<Tuner>>,
-    /// Outcome of the round that just ran (drained by the orchestrator).
-    last_round: Option<RoundOutcome>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RoundOutcome {
-    seconds: f64,
-    commits: u64,
-    rejected: u64,
 }
 
 impl ShardState {
@@ -259,13 +207,12 @@ impl ShardState {
             rejected: 0,
             busy_cycles: 0,
             tuners: (0..config.tasklets).map(|_| None).collect(),
-            last_round: None,
         }
     }
 
     /// Runs one round's batch to completion on this shard's simulator and
     /// folds the results into the shard accumulators.
-    fn run_round(&mut self, batch: Vec<ShardTx>) {
+    fn run_batch(&mut self, batch: Vec<ShardTx>) -> BatchOutcome {
         self.dispatched += batch.len() as u64;
         let alg = algorithm_for(self.shared.config().kind);
         // Per-tasklet tuners outlive the round's machines: each machine
@@ -300,11 +247,11 @@ impl ShardState {
         self.aborts += report.total_aborts();
         self.rejected += rejected;
         self.busy_cycles += report.makespan_cycles;
-        self.last_round = Some(RoundOutcome {
+        BatchOutcome {
             seconds: report.makespan_seconds(),
             commits: report.total_commits(),
             rejected,
-        });
+        }
     }
 
     fn stats(&self, shard: u32) -> ShardStats {
@@ -323,99 +270,6 @@ impl ShardState {
     }
 }
 
-/// Applies a recut: rebuilds every shard whose slice changed (counter
-/// values move with their keys; the shard's cumulative accumulators are
-/// carried over) and returns `(moved_keys, gather_bytes, scatter_bytes)` —
-/// the per-shard byte vectors the caller charges through the ledger
-/// ([`MIGRATION_BYTES_PER_KEY`] per moved key in each direction).
-fn migrate(
-    config: &FleetConfig,
-    shards: &mut [ShardState],
-    old: &ShardMap,
-    new: &ShardMap,
-) -> (u64, Vec<u64>, Vec<u64>) {
-    let mut moved = 0u64;
-    let mut gather_bytes = vec![0u64; shards.len()];
-    let mut scatter_bytes = vec![0u64; shards.len()];
-    for key in 0..old.total_keys() {
-        let from = old.owner(key);
-        let to = new.owner(key);
-        if from != to {
-            moved += 1;
-            gather_bytes[from as usize] += MIGRATION_BYTES_PER_KEY;
-            scatter_bytes[to as usize] += MIGRATION_BYTES_PER_KEY;
-        }
-    }
-    // Snapshot every counter host-side, then rebuild the shards whose
-    // slice changed and replay the values into the new owners.
-    let mut counters = vec![0u64; old.total_keys() as usize];
-    for (s, state) in shards.iter().enumerate() {
-        let s = s as u32;
-        for key in old.base(s)..old.base(s) + old.span(s) {
-            counters[key as usize] = var::peek_var(&state.dpu, state.data.counter(key));
-        }
-    }
-    for (s, state) in shards.iter_mut().enumerate() {
-        let s_id = s as u32;
-        if new.base(s_id) == old.base(s_id) && new.span(s_id) == old.span(s_id) {
-            continue;
-        }
-        let mut fresh = ShardState::new(config, new.base(s_id), new.span(s_id));
-        fresh.profile = state.profile;
-        fresh.dispatched = state.dispatched;
-        fresh.commits = state.commits;
-        fresh.aborts = state.aborts;
-        fresh.rejected = state.rejected;
-        fresh.busy_cycles = state.busy_cycles;
-        fresh.tuners = std::mem::take(&mut state.tuners);
-        for key in new.base(s_id)..new.base(s_id) + new.span(s_id) {
-            var::poke_var(&mut fresh.dpu, fresh.data.counter(key), counters[key as usize]);
-        }
-        *state = fresh;
-    }
-    (moved, gather_bytes, scatter_bytes)
-}
-
-/// Re-splits deferred sub-transactions under a recut map: each deferred
-/// `ShardTx` was split by the old owners, so its keys may now live on
-/// different shards. Emits per-new-owner parts (ascending shard order per
-/// origin, preserving the deferred order otherwise) — pure function of
-/// its inputs, so determinism is preserved.
-fn reroute(deferred: Vec<(u32, ShardTx)>, map: &ShardMap) -> Vec<(u32, ShardTx)> {
-    let mut out: Vec<(u32, ShardTx)> = Vec::new();
-    for (_, tx) in deferred {
-        let mut parts: Vec<(u32, ShardTx)> = Vec::new();
-        let part = |parts: &mut Vec<(u32, ShardTx)>, shard: u32| -> usize {
-            match parts.iter().position(|(s, _)| *s == shard) {
-                Some(i) => i,
-                None => {
-                    parts.push((
-                        shard,
-                        ShardTx {
-                            origin: tx.origin,
-                            reads: Vec::new(),
-                            updates: Vec::new(),
-                            probe: tx.probe,
-                        },
-                    ));
-                    parts.len() - 1
-                }
-            }
-        };
-        for &key in &tx.reads {
-            let i = part(&mut parts, map.owner(key));
-            parts[i].1.reads.push(key);
-        }
-        for &key in &tx.updates {
-            let i = part(&mut parts, map.owner(key));
-            parts[i].1.updates.push(key);
-        }
-        parts.sort_by_key(|(s, _)| *s);
-        out.extend(parts);
-    }
-    out
-}
-
 /// The shard-worker thread count a `host_workers` setting resolves to:
 /// itself, or one per available core for `0`. This — not the raw field —
 /// is what [`run`] spawns at most per round, and what budget-holding
@@ -425,6 +279,81 @@ pub fn resolve_host_workers(host_workers: usize) -> usize {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
         host_workers
+    }
+}
+
+/// The counter workload as the round engine sees it.
+struct Counters<'a>(&'a FleetConfig);
+
+impl ShardWorkload for Counters<'_> {
+    type Item = GlobalTx;
+    type Work = ShardTx;
+    type Shard = ShardState;
+
+    fn keys(tx: &GlobalTx) -> impl Iterator<Item = u32> + '_ {
+        tx.reads.iter().chain(&tx.updates).copied()
+    }
+
+    fn route(
+        &self,
+        tx: GlobalTx,
+        map: &ShardMap,
+        batches: &mut [Vec<ShardTx>],
+        deferred: &mut Vec<(u32, ShardTx)>,
+    ) {
+        let routed = route(&tx, map, self.0.routing);
+        for (shard, sub) in routed.now {
+            batches[shard as usize].push(sub);
+        }
+        deferred.extend(routed.deferred);
+    }
+
+    fn wire_bytes(tx: &ShardTx) -> u64 {
+        tx.wire_bytes()
+    }
+
+    fn run_batch(&self, shard: &mut ShardState, batch: Vec<ShardTx>, _: f64) -> BatchOutcome {
+        shard.run_batch(batch)
+    }
+
+    /// Counter values move with their keys: every counter is snapshotted
+    /// host-side, each shard whose slice changed gets a fresh DPU sized to
+    /// its new slice (its cumulative accumulators and tuners stay), and the
+    /// values are replayed into the new owners.
+    fn migrate(&self, shards: &mut [ShardState], old: &ShardMap, new: &ShardMap) -> Migration {
+        let mut moved = Migration::new(shards.len());
+        let mut counters = vec![0u64; old.total_keys() as usize];
+        for key in 0..old.total_keys() {
+            let state = &shards[old.owner(key) as usize];
+            counters[key as usize] = var::peek_var(&state.dpu, state.data.counter(key));
+            if old.owner(key) != new.owner(key) {
+                moved.record(old.owner(key), new.owner(key));
+            }
+        }
+        for (s, state) in (0u32..).zip(shards.iter_mut()) {
+            if new.base(s) == old.base(s) && new.span(s) == old.span(s) {
+                continue;
+            }
+            let fresh = ShardState::new(self.0, new.base(s), new.span(s));
+            (state.dpu, state.shared, state.data, state.slots) =
+                (fresh.dpu, fresh.shared, fresh.data, fresh.slots);
+            for key in new.base(s)..new.base(s) + new.span(s) {
+                var::poke_var(&mut state.dpu, state.data.counter(key), counters[key as usize]);
+            }
+        }
+        moved
+    }
+
+    /// Each deferred sub-transaction was split by the old owners; it is
+    /// re-split by the new ones, in the original order.
+    fn reroute(&self, deferred: Vec<(u32, ShardTx)>, map: &ShardMap) -> Vec<(u32, ShardTx)> {
+        deferred
+            .into_iter()
+            .flat_map(|(_, tx)| {
+                let whole = GlobalTx { id: tx.origin, reads: tx.reads, updates: tx.updates };
+                route(&whole, map, RoutingPolicy::RouteToOwner).now
+            })
+            .collect()
     }
 }
 
@@ -438,162 +367,23 @@ pub fn resolve_host_workers(host_workers: usize) -> usize {
 /// configuration bugs, not runtime conditions.
 pub fn run(config: &FleetConfig) -> FleetReport {
     config.validate();
-    let mut map = ShardMap::new(config.workload.total_keys, config.n_dpus as u32);
+    let map = ShardMap::new(config.workload.total_keys, config.n_dpus as u32);
     let stream = generate_stream(&config.workload, config.seed);
     let global_txns = stream.len() as u64;
-    let mut pending: VecDeque<_> = stream.into();
-    let mut shards: Vec<ShardState> = (0..config.n_dpus as u32)
+    let shards: Vec<ShardState> = (0..config.n_dpus as u32)
         .map(|s| ShardState::new(config, map.base(s), map.span(s)))
         .collect();
-    let mut ledger = TransferLedger::new(config.transfer);
-    let mut rebalancer = Rebalancer::new(config.rebalance, config.workload.total_keys);
-    let mut rebalance_stats =
-        RebalanceStats { policy: config.rebalance, ..RebalanceStats::default() };
-    let mut deferred: Vec<(u32, ShardTx)> = Vec::new();
-    let mut rounds: Vec<RoundStats> = Vec::new();
-    let mut makespan = 0.0f64;
-    // Migration scatter bytes from the previous round boundary: the recut
-    // state arrives with the next round's inputs, so the byte count is
-    // attributed there (the ledger charged it at migration time).
-    let mut carry_to_dpus = 0u64;
-    let mut migrated_last_boundary = false;
-    let mut prev_dpu_seconds = 0.0f64;
-    let workers = resolve_host_workers(config.host_workers);
+    let engine = RoundEngine {
+        per_round: config.txns_per_round,
+        transfer: config.transfer,
+        host: config.host,
+        rebalance: config.rebalance,
+        overlap: config.overlap,
+        workers: resolve_host_workers(config.host_workers),
+    };
+    let done = engine.run(&Counters(config), map, shards, stream);
+    let shards = done.shards;
 
-    while !pending.is_empty() || !deferred.is_empty() {
-        // Migration scatter bytes from the previous boundary belong to
-        // this round's host→DPU byte count.
-        let carry_in = carry_to_dpus;
-        carry_to_dpus = 0;
-
-        // --- Host dispatch: deferred re-dispatches first, then the stream.
-        let deferred_in = deferred.len() as u64;
-        let mut batches: Vec<Vec<ShardTx>> = (0..config.n_dpus).map(|_| Vec::new()).collect();
-        let mut dispatched = 0u64;
-        for (shard, tx) in deferred.drain(..) {
-            dispatched += 1;
-            batches[shard as usize].push(tx);
-        }
-        let mut next_deferred = Vec::new();
-        for _ in 0..config.txns_per_round.min(pending.len()) {
-            let tx = pending.pop_front().expect("bounded by pending.len()");
-            rebalancer.note(&tx);
-            let routed = route(&tx, &map, config.routing);
-            for (shard, sub) in routed.now {
-                dispatched += 1;
-                batches[shard as usize].push(sub);
-            }
-            next_deferred.extend(routed.deferred);
-        }
-
-        // --- Primitives: round descriptor to everyone, batches to owners.
-        let broadcast_seconds = ledger.broadcast(ROUND_DESCRIPTOR_BYTES);
-        let scatter_bytes: Vec<u64> =
-            batches.iter().map(|b| b.iter().map(ShardTx::wire_bytes).sum()).collect();
-        let scatter_seconds = ledger.scatter(&scatter_bytes);
-        let active: Vec<bool> = batches.iter().map(|b| !b.is_empty()).collect();
-        let host_route_seconds = config.host.route_seconds(dispatched);
-
-        // --- Pipeline eligibility: this round's pre-work can overlap the
-        // previous round's compute only if routing it needed nothing from
-        // that round — no deferred re-dispatches (discovered *during* the
-        // previous compute) and no migration at the previous boundary
-        // (the recut state is only available after that compute).
-        let overlapped =
-            config.overlap && !rounds.is_empty() && deferred_in == 0 && !migrated_last_boundary;
-        let pre_seconds = broadcast_seconds + scatter_seconds + host_route_seconds;
-        let hidden_seconds = if overlapped { pre_seconds.min(prev_dpu_seconds) } else { 0.0 };
-
-        // --- Barrier: run every active shard, in parallel host workers.
-        let mut work: Vec<(&mut ShardState, Vec<ShardTx>)> =
-            shards.iter_mut().zip(batches).filter(|(_, batch)| !batch.is_empty()).collect();
-        std::thread::scope(|scope| {
-            let mut bins: Vec<Vec<(&mut ShardState, Vec<ShardTx>)>> =
-                (0..workers.max(1)).map(|_| Vec::new()).collect();
-            let bin_count = bins.len();
-            for (i, item) in work.drain(..).enumerate() {
-                bins[i % bin_count].push(item);
-            }
-            for bin in bins {
-                if bin.is_empty() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    for (state, batch) in bin {
-                        state.run_round(batch);
-                    }
-                });
-            }
-        });
-
-        // --- Collect the barrier: the round waits for its slowest shard.
-        let outcomes: Vec<RoundOutcome> =
-            shards.iter_mut().filter_map(|s| s.last_round.take()).collect();
-        let active_shards = outcomes.len() as u64;
-        let dpu_seconds = outcomes.iter().map(|o| o.seconds).fold(0.0, f64::max);
-        let dpu_mean_seconds = if outcomes.is_empty() {
-            0.0
-        } else {
-            outcomes.iter().map(|o| o.seconds).sum::<f64>() / outcomes.len() as f64
-        };
-        let round_commits: u64 = outcomes.iter().map(|o| o.commits).sum();
-        let round_rejected: u64 = outcomes.iter().map(|o| o.rejected).sum();
-
-        let gather_bytes: Vec<u64> =
-            active.iter().map(|&a| if a { GATHER_SUMMARY_BYTES } else { 0 }).collect();
-        let gather_seconds = ledger.gather(&gather_bytes);
-        let host_merge_seconds = config.host.merge_seconds(active_shards);
-
-        // --- Rebalance boundary: recut the partition if the policy fires
-        // (trigger data is dispatch-side only, so this stays deterministic)
-        // and there is future work to amortize the migration.
-        let more_work = !pending.is_empty() || !next_deferred.is_empty();
-        let mut migrated_keys = 0u64;
-        let mut migration_seconds = 0.0f64;
-        let mut migration_from_dpus = 0u64;
-        migrated_last_boundary = false;
-        if let Some(new_map) = rebalancer.plan(&map, more_work) {
-            let (moved, from_bytes, to_bytes) = migrate(config, &mut shards, &map, &new_map);
-            migrated_keys = moved;
-            migration_from_dpus = from_bytes.iter().sum();
-            carry_to_dpus = to_bytes.iter().sum();
-            migration_seconds = ledger.gather(&from_bytes) + ledger.scatter(&to_bytes);
-            next_deferred = reroute(next_deferred, &new_map);
-            map = new_map;
-            rebalance_stats.rebalances += 1;
-            rebalance_stats.migrated_keys += migrated_keys;
-            rebalance_stats.migration_bytes += migration_from_dpus + carry_to_dpus;
-            rebalance_stats.migration_seconds += migration_seconds;
-            migrated_last_boundary = true;
-        }
-
-        let stats = RoundStats {
-            round: rounds.len(),
-            dispatched_subtxns: dispatched,
-            active_shards,
-            commits: round_commits,
-            rejected: round_rejected,
-            broadcast_seconds,
-            scatter_seconds,
-            dpu_seconds,
-            dpu_mean_seconds,
-            gather_seconds,
-            host_route_seconds,
-            host_merge_seconds,
-            bytes_to_dpus: ROUND_DESCRIPTOR_BYTES + scatter_bytes.iter().sum::<u64>() + carry_in,
-            bytes_from_dpus: gather_bytes.iter().sum::<u64>() + migration_from_dpus,
-            migrated_keys,
-            migration_seconds,
-            overlapped,
-            hidden_seconds,
-        };
-        makespan += stats.pipelined_seconds();
-        rounds.push(stats);
-        deferred = next_deferred;
-        prev_dpu_seconds = dpu_seconds;
-    }
-
-    // --- Fold the fleet report.
     let shard_stats: Vec<ShardStats> =
         shards.iter().enumerate().map(|(i, s)| s.stats(i as u32)).collect();
     let fingerprint =
@@ -602,15 +392,6 @@ pub fn run(config: &FleetConfig) -> FleetReport {
     let profile = ExecProfile::merged(shards.iter().map(|s| &s.profile))
         .unwrap_or_else(|| ExecProfile::new(TimeDomain::Cycles));
     let imbalance = Imbalance::from_shards(&shard_stats);
-    let hidden_total: f64 = rounds.iter().map(|r| r.hidden_seconds).sum();
-    let overlapped_rounds = rounds.iter().filter(|r| r.overlapped).count() as u64;
-    let pipeline = PipelineStats {
-        enabled: config.overlap,
-        overlapped_rounds,
-        stalled_rounds: rounds.len() as u64 - overlapped_rounds,
-        hidden_seconds: hidden_total,
-        exposed_pre_seconds: rounds.iter().map(RoundStats::pre_seconds).sum::<f64>() - hidden_total,
-    };
 
     FleetReport {
         n_dpus: config.n_dpus,
@@ -623,14 +404,14 @@ pub fn run(config: &FleetConfig) -> FleetReport {
         total_rejected: shard_stats.iter().map(|s| s.rejected).sum(),
         total_increments,
         fingerprint,
-        rounds,
+        rounds: done.rounds,
         shards: shard_stats,
         imbalance,
         profile,
-        ledger,
-        pipeline,
-        rebalance: rebalance_stats,
-        makespan_seconds: makespan,
+        ledger: done.ledger,
+        pipeline: done.pipeline,
+        rebalance: done.rebalance,
+        makespan_seconds: done.makespan_seconds,
     }
 }
 

@@ -1,42 +1,35 @@
 //! Fleet service runs: the open-loop stream routed across sharded DPUs.
 //!
-//! One global request stream is generated exactly as for a single DPU, then
-//! **routed by key ownership** ([`ShardMap::owner`]) to per-shard simulated
-//! DPUs, round by round, with the host's broadcast/scatter/gather costs
-//! charged through the same [`TransferLedger`] / [`HostCostModel`] the
-//! `pim-fleet` runtime uses. Each shard serves its slice of a round through
-//! the same admission + [`ServiceTasklet`](crate::single) machinery as the
-//! single-DPU driver; per-round latencies are anchored to the fleet's global
-//! clock (the round's start tick), so queueing delay includes time spent
-//! waiting for the owning shard's round to begin — the round-barrier penalty
-//! the latency-vs-load curve is supposed to expose.
+//! One global request stream, generated as for a single DPU, is served by
+//! `pim-fleet`'s [`RoundEngine`] (see [`pim_fleet::engine`]). A request
+//! routes to the shard owning its key, which serves it through the
+//! single-DPU admission and [`ServiceTasklet`](crate::single) machinery,
+//! anchored at the fleet clock of the round's compute start: queueing
+//! delay includes the wait for the owning shard's round to begin.
 //!
-//! Two deliberate simplifications keep the service fleet inside the measured
-//! runtime's scope:
+//! Two service-specific choices:
 //!
 //! * **Owner-local transfers** — a transfer whose destination key lives on a
 //!   different shard is remapped into the owner's key range (deterministic
 //!   fold, same stream position). Cross-shard two-phase service transactions
 //!   stay with the roadmap's open 2PC item.
 //! * **Authoritative copy at the owner** — every shard's hashmap covers the
-//!   full keyspace; a rebalance boundary copies moved keys from the old
-//!   owner to the new one (host-side, charged at
-//!   [`MIGRATION_BYTES_PER_KEY`]). Stale copies on former owners are
-//!   unreachable (requests route to the current owner) and are overwritten
-//!   if ownership ever returns.
-
-use std::collections::VecDeque;
+//!   full keyspace; a recut copies each populated moved key from the old
+//!   owner to the new one. Stale copies on former owners are unreachable
+//!   (requests route to the current owner) and are overwritten if ownership
+//!   ever returns.
 
 use pim_sim::{CpuTransferModel, Dpu, DpuConfig, Tier};
 use pim_stm::{StmShared, TimeDomain, TxSlot};
-use pim_workloads::{GlobalTx, ShardMap};
+use pim_workloads::ShardMap;
 
-use pim_fleet::runtime::{GATHER_SUMMARY_BYTES, MIGRATION_BYTES_PER_KEY, ROUND_DESCRIPTOR_BYTES};
-use pim_fleet::{HostCostModel, RebalancePolicy, Rebalancer, RoundStats, TransferLedger};
+use pim_fleet::{
+    BatchOutcome, HostCostModel, Migration, RebalancePolicy, RoundEngine, ShardWorkload,
+};
 
 use crate::arrival::ArrivalProcess;
 use crate::latency::LatencyPanel;
-use crate::request::{generate_requests, Request, RequestOp, ServiceTables};
+use crate::request::{Request, RequestOp, ServiceTables};
 use crate::single::{run_sim_round, ServiceConfig};
 
 /// Wire bytes of one routed request descriptor (arrival stamp + packed
@@ -98,18 +91,24 @@ impl ServiceFleetConfig {
         self
     }
 
-    fn validate(&self) {
-        assert!(self.shards >= 1, "a fleet needs at least one shard");
-        assert!(self.round_requests >= 1, "rounds must dispatch at least one request");
-        assert!(
-            self.service.keys <= 1 << 20,
-            "fleet service keyspace capped at 2^20 keys (got {})",
-            self.service.keys
-        );
-        assert!(
-            u64::from(self.shards) <= self.service.keys,
-            "more shards than keys cannot be partitioned"
-        );
+    /// Checks the service bounds plus the fleet's own.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violated bound.
+    pub fn check(&self) -> Result<(), String> {
+        self.service.check()?;
+        let keys = self.service.keys;
+        let shards = self.shards;
+        if shards == 0 || self.round_requests == 0 {
+            Err("a service fleet needs at least one shard and one request per round".into())
+        } else if keys > 1 << 20 {
+            Err(format!("keys = {keys} exceeds the fleet keyspace cap of 2^20"))
+        } else if u64::from(shards) > keys {
+            Err(format!("shards = {shards} exceeds keys = {keys}: a shard needs a key"))
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -122,6 +121,8 @@ struct ServiceShard {
     slots: Vec<TxSlot>,
     tables: ServiceTables,
     completed: u64,
+    aborts: u64,
+    panel: LatencyPanel,
 }
 
 impl ServiceShard {
@@ -141,7 +142,15 @@ impl ServiceShard {
         let slots = (0..config.tasklets)
             .map(|t| shared.register_tasklet(&mut dpu, t).expect("per-tasklet logs must fit"))
             .collect();
-        ServiceShard { dpu, shared, slots, tables, completed: 0 }
+        ServiceShard {
+            dpu,
+            shared,
+            slots,
+            tables,
+            completed: 0,
+            aborts: 0,
+            panel: LatencyPanel::new(TimeDomain::Cycles),
+        }
     }
 }
 
@@ -171,7 +180,7 @@ pub struct ServiceFleetReport {
     /// Keys copied across shards at rebalance boundaries.
     pub migrated_keys: u64,
     /// Bytes those copies moved through the ledger:
-    /// [`MIGRATION_BYTES_PER_KEY`] per key gathered from the old owner plus
+    /// [`pim_fleet::MIGRATION_BYTES_PER_KEY`] per key gathered from the old owner plus
     /// as many scattered to the new one.
     pub migration_bytes: u64,
     /// Requests served per shard (by final routing).
@@ -209,226 +218,145 @@ impl ServiceFleetReport {
     }
 }
 
-/// The load-tracking view of a routed request (what the rebalancer sees).
-fn as_global_tx(id: u32, request: &Request) -> GlobalTx {
-    match request.op {
-        RequestOp::Get => GlobalTx { id, reads: vec![request.key as u32], updates: Vec::new() },
-        RequestOp::Put => GlobalTx { id, reads: Vec::new(), updates: vec![request.key as u32] },
-        RequestOp::Transfer => GlobalTx {
-            id,
-            reads: Vec::new(),
-            updates: vec![request.key as u32, request.key2 as u32],
-        },
+/// The service as the round engine sees it.
+struct Service {
+    closed_loop: bool,
+    clock_hz: f64,
+}
+
+impl ShardWorkload for Service {
+    type Item = Request;
+    type Work = Request;
+    type Shard = ServiceShard;
+
+    fn keys(request: &Request) -> impl Iterator<Item = u32> + '_ {
+        let destination = (request.op == RequestOp::Transfer).then_some(request.key2 as u32);
+        std::iter::once(request.key as u32).chain(destination)
+    }
+
+    fn route(
+        &self,
+        request: Request,
+        map: &ShardMap,
+        batches: &mut [Vec<Request>],
+        _: &mut Vec<(u32, Request)>,
+    ) {
+        // Owner-local transfers: a foreign destination folds into the
+        // owner's key range (see the module documentation).
+        let shard = map.owner(request.key as u32);
+        let mut local = request;
+        if request.op == RequestOp::Transfer && map.owner(request.key2 as u32) != shard {
+            let span = u64::from(map.span(shard)).max(1);
+            local.key2 = u64::from(map.base(shard)) + request.key2 % span;
+        }
+        batches[shard as usize].push(local);
+    }
+
+    fn wire_bytes(_: &Request) -> u64 {
+        REQUEST_WIRE_BYTES
+    }
+
+    fn run_batch(&self, shard: &mut ServiceShard, batch: Vec<Request>, start: f64) -> BatchOutcome {
+        shard.completed += batch.len() as u64;
+        let round = run_sim_round(
+            &mut shard.dpu,
+            &shard.shared,
+            &shard.slots,
+            shard.tables,
+            batch,
+            self.closed_loop,
+            (start * self.clock_hz) as u64,
+        );
+        shard.aborts += round.report.total_aborts();
+        shard.panel.merge(&round.panel);
+        BatchOutcome {
+            seconds: round.report.makespan_seconds(),
+            commits: round.report.total_commits(),
+            rejected: 0,
+        }
+    }
+
+    fn migrate(&self, shards: &mut [ServiceShard], old: &ShardMap, new: &ShardMap) -> Migration {
+        let mut moved = Migration::new(shards.len());
+        for key in 0..old.total_keys() {
+            let (from, to) = (old.owner(key), new.owner(key));
+            if from == to {
+                continue;
+            }
+            let donor = &shards[from as usize];
+            let Some(value) = donor.tables.map.host_get(&donor.dpu, u64::from(key)) else {
+                continue;
+            };
+            let receiver = &mut shards[to as usize];
+            receiver
+                .tables
+                .map
+                .host_put(&mut receiver.dpu, u64::from(key), value)
+                .expect("full-keyspace shard maps cannot fill");
+            moved.record(from, to);
+        }
+        moved
     }
 }
 
-/// Folds a transfer destination into the owning shard's key range (see the
-/// module notes on owner-local transfers).
-fn localize(request: &Request, map: &ShardMap, shard: u32) -> Request {
-    if request.op != RequestOp::Transfer {
-        return *request;
-    }
-    let base = u64::from(map.base(shard));
-    let span = u64::from(map.span(shard));
-    if map.owner(request.key2 as u32) == shard {
-        return *request;
-    }
-    Request { key2: base + request.key2 % span.max(1), ..*request }
-}
-
-/// Runs the service fleet to stream exhaustion.
+/// Runs the service fleet to stream exhaustion on one host worker.
 ///
 /// # Panics
 ///
 /// Panics when the configuration is infeasible (see
-/// `ServiceFleetConfig::validate` assertions and per-shard allocation).
+/// [`ServiceFleetConfig::check`]) or a shard does not fit its DPU.
 pub fn run_service_fleet(config: &ServiceFleetConfig) -> ServiceFleetReport {
-    config.validate();
+    config.check().unwrap_or_else(|bound| panic!("{bound}"));
     let service = &config.service;
-    let total_keys = service.keys as u32;
-    let mut map = ShardMap::new(total_keys, config.shards);
-    let mut shards: Vec<ServiceShard> =
+    let map = ShardMap::new(service.keys as u32, config.shards);
+    let shards: Vec<ServiceShard> =
         (0..config.shards).map(|_| ServiceShard::new(service)).collect();
-    let clock_hz = shards[0].dpu.latency().clock_hz;
-    let closed_loop = service.arrival.is_closed_loop();
-
-    let stream = generate_requests(
-        service.arrival,
-        service.mix,
-        service.dist,
-        service.keys,
-        service.requests,
-        service.seed,
-        clock_hz as f64,
-    );
-    let mut pending: VecDeque<(u32, Request)> =
-        stream.into_iter().enumerate().map(|(i, r)| (i as u32, r)).collect();
-
-    let mut ledger = TransferLedger::new(config.transfer);
-    let mut rebalancer = Rebalancer::new(config.rebalance, total_keys);
+    let clock_hz = shards[0].dpu.latency().clock_hz as f64;
+    let stream = service.stream(clock_hz);
+    let engine = RoundEngine {
+        per_round: config.round_requests as usize,
+        transfer: config.transfer,
+        host: config.host,
+        rebalance: config.rebalance,
+        overlap: config.overlap,
+        workers: 1,
+    };
+    let workload = Service { closed_loop: service.arrival.is_closed_loop(), clock_hz };
+    let done = engine.run(&workload, map, shards, stream);
     let mut panel = LatencyPanel::new(TimeDomain::Cycles);
-    let mut commits = 0u64;
-    let mut aborts = 0u64;
-    let mut rounds: Vec<RoundStats> = Vec::new();
-    let mut rebalances = 0u64;
-    let mut migrated_keys = 0u64;
-    let mut migration_bytes = 0u64;
-    let mut makespan = 0.0f64;
-    let mut prev_compute = 0.0f64;
-    let mut migrated_last_boundary = false;
-
-    while !pending.is_empty() {
-        // --- Host dispatch: route this round's batch by current ownership.
-        let mut batches: Vec<Vec<Request>> = (0..config.shards).map(|_| Vec::new()).collect();
-        let take = (config.round_requests as usize).min(pending.len());
-        for _ in 0..take {
-            let (id, request) = pending.pop_front().expect("bounded by pending.len()");
-            rebalancer.note(&as_global_tx(id, &request));
-            let shard = map.owner(request.key as u32);
-            batches[shard as usize].push(localize(&request, &map, shard));
-        }
-        let dispatched: u64 = batches.iter().map(|b| b.len() as u64).sum();
-
-        // --- Host pre-work: descriptor broadcast + request scatter + route.
-        let broadcast_seconds = ledger.broadcast(ROUND_DESCRIPTOR_BYTES);
-        let scatter_bytes: Vec<u64> =
-            batches.iter().map(|b| b.len() as u64 * REQUEST_WIRE_BYTES).collect();
-        let scatter_seconds = ledger.scatter(&scatter_bytes);
-        let host_route_seconds = config.host.route_seconds(dispatched);
-        let pre_seconds = broadcast_seconds + scatter_seconds + host_route_seconds;
-
-        // Pipeline: this round's pre-work hides under the previous round's
-        // compute unless a migration just rewrote shard contents.
-        let overlapped = config.overlap && !rounds.is_empty() && !migrated_last_boundary;
-        let hidden_seconds = if overlapped { pre_seconds.min(prev_compute) } else { 0.0 };
-
-        // --- Compute: each active shard serves its slice, anchored at the
-        // global round-start tick so latencies compose across rounds.
-        let base_ticks = ((makespan + (pre_seconds - hidden_seconds)) * clock_hz as f64) as u64;
-        let mut compute = 0.0f64;
-        let mut active = 0u64;
-        let mut gather_bytes: Vec<u64> = vec![0; config.shards as usize];
-        for (s, shard) in shards.iter_mut().enumerate() {
-            if batches[s].is_empty() {
-                continue;
-            }
-            active += 1;
-            gather_bytes[s] = GATHER_SUMMARY_BYTES;
-            let batch = std::mem::take(&mut batches[s]);
-            shard.completed += batch.len() as u64;
-            let round = run_sim_round(
-                &mut shard.dpu,
-                &shard.shared,
-                &shard.slots,
-                shard.tables,
-                batch,
-                closed_loop,
-                base_ticks,
-            );
-            commits += round.report.total_commits();
-            aborts += round.report.total_aborts();
-            compute = compute.max(round.report.makespan_seconds());
-            panel.merge(&round.panel);
-        }
-
-        // --- Host post-work: gather the active shards' summaries and merge.
-        let gather_seconds = ledger.gather(&gather_bytes);
-        let host_merge_seconds = config.host.merge_seconds(active);
-        prev_compute = compute;
-
-        // --- Rebalance boundary: recut, then move each populated moved key
-        // from its old owner (gather) to its new owner (scatter).
-        migrated_last_boundary = false;
-        let mut migration_seconds = 0.0f64;
-        if let Some(new_map) = rebalancer.plan(&map, !pending.is_empty()) {
-            let mut from_bytes: Vec<u64> = vec![0; config.shards as usize];
-            let mut to_bytes: Vec<u64> = vec![0; config.shards as usize];
-            for key in 0..total_keys {
-                let old = map.owner(key);
-                let new = new_map.owner(key);
-                if old == new {
-                    continue;
-                }
-                let value = {
-                    let donor = &shards[old as usize];
-                    donor.tables.map.host_get(&donor.dpu, u64::from(key))
-                };
-                if let Some(value) = value {
-                    let receiver = &mut shards[new as usize];
-                    receiver
-                        .tables
-                        .map
-                        .host_put(&mut receiver.dpu, u64::from(key), value)
-                        .expect("full-keyspace shard maps cannot fill");
-                    migrated_keys += 1;
-                    from_bytes[old as usize] += MIGRATION_BYTES_PER_KEY;
-                    to_bytes[new as usize] += MIGRATION_BYTES_PER_KEY;
-                }
-            }
-            migration_seconds = ledger.gather(&from_bytes) + ledger.scatter(&to_bytes);
-            migration_bytes += from_bytes.iter().sum::<u64>() + to_bytes.iter().sum::<u64>();
-            map = new_map;
-            rebalances += 1;
-            migrated_last_boundary = true;
-        }
-
-        let stats = RoundStats {
-            round: rounds.len(),
-            dispatched_subtxns: dispatched,
-            active_shards: active,
-            commits: 0,
-            rejected: 0,
-            broadcast_seconds,
-            scatter_seconds,
-            dpu_seconds: compute,
-            dpu_mean_seconds: 0.0,
-            gather_seconds,
-            host_route_seconds,
-            host_merge_seconds,
-            bytes_to_dpus: 0,
-            bytes_from_dpus: 0,
-            migrated_keys: 0,
-            migration_seconds,
-            overlapped,
-            hidden_seconds,
-        };
-        makespan += stats.pipelined_seconds();
-        rounds.push(stats);
+    for shard in &done.shards {
+        panel.merge(&shard.panel);
     }
-
+    let rounds = &done.rounds;
     ServiceFleetReport {
         shards: config.shards,
         rounds: rounds.len() as u64,
         completed: panel.completed(),
-        commits,
-        aborts,
-        makespan_seconds: makespan,
+        commits: rounds.iter().map(|r| r.commits).sum(),
+        aborts: done.shards.iter().map(|s| s.aborts).sum(),
+        makespan_seconds: done.makespan_seconds,
         dpu_seconds: rounds.iter().map(|r| r.dpu_seconds).sum(),
         host_seconds: rounds
             .iter()
             .map(|r| r.pre_seconds() - r.hidden_seconds + r.post_seconds())
             .sum(),
         hidden_seconds: rounds.iter().map(|r| r.hidden_seconds).sum(),
-        rebalances,
-        migrated_keys,
-        migration_bytes,
-        per_shard_completed: shards.iter().map(|s| s.completed).collect(),
-        ticks_per_second: clock_hz as f64,
-        arrival: config.arrival(),
+        rebalances: done.rebalance.rebalances,
+        migrated_keys: done.rebalance.migrated_keys,
+        migration_bytes: done.rebalance.migration_bytes,
+        per_shard_completed: done.shards.iter().map(|s| s.completed).collect(),
+        ticks_per_second: clock_hz,
+        arrival: service.arrival,
         panel,
-    }
-}
-
-impl ServiceFleetConfig {
-    /// The configured arrival process.
-    pub fn arrival(&self) -> ArrivalProcess {
-        self.service.arrival
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_fleet::{
+        TransferLedger, GATHER_SUMMARY_BYTES, MIGRATION_BYTES_PER_KEY, ROUND_DESCRIPTOR_BYTES,
+    };
     use pim_sim::KeyDist;
 
     fn fleet_config() -> ServiceFleetConfig {

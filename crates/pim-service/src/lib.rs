@@ -26,10 +26,8 @@
 //!    against the transactional hashmap and journal queue of
 //!    `pim_workloads::structs`.
 //!
-//! [`fleet`] scales the same stream across sharded DPUs: arrivals routed by
-//! `ShardMap` ownership, per-round global-clock anchoring (so round-barrier
-//! waits land in queueing delay), skew-adaptive rebalancing with host-side
-//! key migration, and the host pipeline's overlap accounting.
+//! [`fleet`] serves the same stream on `pim-fleet`'s round engine, routed
+//! by key ownership across sharded DPUs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -33,7 +33,7 @@ use std::time::Duration;
 use pim_sim::{
     Dpu, DpuConfig, DpuRunReport, KeyDist, Scheduler, StepStatus, TaskletCtx, TaskletProgram, Tier,
 };
-use pim_stm::threaded::{wall_clock_nanos, ThreadedDpu, ThreadedRunReport};
+use pim_stm::threaded::{wall_clock_nanos, ThreadedDpu, ThreadedRunReport, MAX_TASKLETS};
 use pim_stm::{
     algorithm_for, MetadataPlacement, StmConfig, StmKind, StmShared, TimeDomain, TxSlot,
 };
@@ -134,10 +134,26 @@ impl ServiceConfig {
         self
     }
 
-    fn validate(&self) {
-        assert!(self.tasklets >= 1, "a service run needs at least one tasklet");
-        assert!(self.requests >= 1, "a service run needs at least one request");
-        assert!(self.keys >= 1, "the keyspace must not be empty");
+    /// Checks the bounds every executor needs.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violated bound.
+    pub fn check(&self) -> Result<(), String> {
+        let max = DpuConfig::default().max_tasklets.min(MAX_TASKLETS);
+        if !(1..=max).contains(&self.tasklets) {
+            return Err(format!("tasklets = {} lies outside 1..={max}", self.tasklets));
+        }
+        if self.requests == 0 || self.keys == 0 {
+            return Err("a service run needs at least one request and one key".to_string());
+        }
+        Ok(())
+    }
+
+    /// The request stream, with arrivals in ticks of `ticks_per_second`.
+    pub fn stream(&self, ticks_per_second: f64) -> Vec<Request> {
+        let (arrival, mix, dist) = (self.arrival, self.mix, self.dist);
+        generate_requests(arrival, mix, dist, self.keys, self.requests, self.seed, ticks_per_second)
     }
 }
 
@@ -447,10 +463,10 @@ pub(crate) fn serve_threaded(
 ///
 /// # Panics
 ///
-/// Panics when the configuration is infeasible (empty stream/keyspace, STM
-/// metadata that does not fit the DPU).
+/// Panics when the configuration is infeasible (see
+/// [`ServiceConfig::check`]) or the STM metadata does not fit the DPU.
 pub fn run_service_sim(config: &ServiceConfig) -> ServiceReport {
-    config.validate();
+    config.check().unwrap_or_else(|bound| panic!("{bound}"));
     let mut dpu = Dpu::new(DpuConfig::default());
     let clock_hz = dpu.latency().clock_hz;
     let shared =
@@ -461,15 +477,7 @@ pub fn run_service_sim(config: &ServiceConfig) -> ServiceReport {
     let slots: Vec<TxSlot> = (0..config.tasklets)
         .map(|t| shared.register_tasklet(&mut dpu, t).expect("per-tasklet logs must fit"))
         .collect();
-    let requests = generate_requests(
-        config.arrival,
-        config.mix,
-        config.dist,
-        config.keys,
-        config.requests,
-        config.seed,
-        clock_hz as f64,
-    );
+    let requests = config.stream(clock_hz as f64);
     let closed_loop = config.arrival.is_closed_loop();
     let round = run_sim_round(&mut dpu, &shared, &slots, tables, requests, closed_loop, 0);
     ServiceReport {
@@ -489,23 +497,15 @@ pub fn run_service_sim(config: &ServiceConfig) -> ServiceReport {
 ///
 /// # Panics
 ///
-/// Panics when the configuration is infeasible (too many tasklets, STM
-/// metadata that does not fit).
+/// Panics when the configuration is infeasible (see
+/// [`ServiceConfig::check`]) or the STM metadata does not fit.
 pub fn run_service_threaded(config: &ServiceConfig) -> ServiceReport {
-    config.validate();
+    config.check().unwrap_or_else(|bound| panic!("{bound}"));
     let mut dpu = ThreadedDpu::new(config.stm).expect("threaded DPU must build");
     let tables =
         ServiceTables::allocate(&mut dpu, Tier::Mram, config.keys, config.journal_capacity)
             .expect("service tables must fit");
-    let mut requests = generate_requests(
-        config.arrival,
-        config.mix,
-        config.dist,
-        config.keys,
-        config.requests,
-        config.seed,
-        1e9,
-    );
+    let mut requests = config.stream(1e9);
     let closed_loop = config.arrival.is_closed_loop();
     let start = wall_clock_nanos();
     // Anchor the stream slightly in the future so early arrivals are not
