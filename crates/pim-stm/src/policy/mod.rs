@@ -272,8 +272,15 @@ pub trait ReadPolicy: Send + Sync + 'static {
     fn post_publish(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform, ticket: u64);
 
     /// Releases every lock and restores every metadata word this attempt
-    /// acquired. The data-side undo (the write-through replay) has already run.
-    fn release_on_abort(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform);
+    /// acquired. The data-side undo (the write-through replay under `mode`)
+    /// has already run.
+    fn release_on_abort(
+        &self,
+        shared: &StmShared,
+        tx: &mut TxSlot,
+        p: &mut dyn Platform,
+        mode: WriteMode,
+    );
 
     /// Plans one word of a batched record read (the engine already served
     /// redo-log words for commit-time compositions). Mirrors the design's
@@ -367,7 +374,7 @@ pub(crate) fn abort_attempt<R: ReadPolicy>(
     reason: AbortReason,
 ) -> Abort {
     rollback_data(tx, p, mode);
-    read.release_on_abort(shared, tx, p);
+    read.release_on_abort(shared, tx, p, mode);
     p.set_phase(Phase::OtherExec);
     Abort::new(reason)
 }
@@ -635,7 +642,7 @@ impl<R: ReadPolicy, L: LockPolicy, W: WritePolicy> TmAlgorithm for ComposedTm<R,
 
     fn cancel(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform) {
         rollback_data(tx, p, W::MODE);
-        self.read.release_on_abort(shared, tx, p);
+        self.read.release_on_abort(shared, tx, p, W::MODE);
         p.set_phase(Phase::OtherExec);
     }
 

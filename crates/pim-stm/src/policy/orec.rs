@@ -242,11 +242,30 @@ impl ReadPolicy for InvisibleOrec {
         }
     }
 
-    fn release_on_abort(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform) {
+    /// Write-back restores each pre-lock ORec: memory never changed. Under
+    /// write-through the words held dirty values while locked, so the
+    /// pre-lock version no longer identifies their contents: a reader that
+    /// sampled it before the lock and loaded a dirty value would find it
+    /// unchanged on re-check (ABA). As in TinySTM, write-through releases
+    /// with a fresh version from the global clock instead.
+    fn release_on_abort(
+        &self,
+        shared: &StmShared,
+        tx: &mut TxSlot,
+        p: &mut dyn Platform,
+        mode: WriteMode,
+    ) {
+        let mut fresh = None;
         for i in 0..tx.write_set_len() {
             let entry = tx.write_entry(p, i);
             if entry.flag {
-                p.store(shared.orec_addr(entry.addr), entry.extra);
+                let release = match mode {
+                    WriteMode::WriteBack => entry.extra,
+                    WriteMode::WriteThrough => *fresh.get_or_insert_with(|| {
+                        OrecWord::unlocked(p.fetch_add(shared.clock_addr(), 1) + 1).raw()
+                    }),
+                };
+                p.store(shared.orec_addr(entry.addr), release);
             }
         }
     }
@@ -307,5 +326,58 @@ impl ReadPolicy for InvisibleOrec {
         } else {
             Ok(WordCheck::Reread)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{StmConfig, StmKind};
+    use pim_sim::{Dpu, DpuConfig, TaskletCtx, TaskletStats, Tier};
+
+    /// The write-through ABA: a reader samples a word's ORec, a writer
+    /// locks it, stores in place and aborts, and the reader's burst saw the
+    /// dirty value. The abort must release the ORec with a fresh version,
+    /// so the reader's re-check rejects its sample.
+    #[test]
+    fn a_write_through_abort_invalidates_a_concurrent_read_sample() {
+        let mut dpu = Dpu::new(DpuConfig::small());
+        let shared =
+            StmShared::allocate(&mut dpu, StmConfig::small_wram(StmKind::TinyEtlWt)).unwrap();
+        let mut reader = shared.register_tasklet(&mut dpu, 0).unwrap();
+        let mut writer = shared.register_tasklet(&mut dpu, 1).unwrap();
+        let addr = dpu.alloc(Tier::Mram, 1).unwrap();
+        dpu.poke(addr, 5);
+        let alg = crate::algorithm_for(StmKind::TinyEtlWt);
+        let (mut reader_stats, mut writer_stats) = (TaskletStats::new(), TaskletStats::new());
+
+        let token = {
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut reader_stats, 0, 2, 0);
+            alg.begin(&shared, &mut reader, &mut ctx);
+            match InvisibleOrec.plan_word(
+                &shared,
+                &mut reader,
+                &mut ctx,
+                addr,
+                WriteMode::WriteThrough,
+            ) {
+                Ok(WordPlan::Burst { token }) => token,
+                other => panic!("an unlocked word must be planned for the burst: {other:?}"),
+            }
+        };
+        {
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut writer_stats, 1, 2, 0);
+            alg.begin(&shared, &mut writer, &mut ctx);
+            alg.write(&shared, &mut writer, &mut ctx, addr, 77).unwrap();
+        }
+        assert_eq!(dpu.peek(addr), 77, "write-through stores in place while locked");
+        {
+            let mut ctx = TaskletCtx::new(&mut dpu, &mut writer_stats, 1, 2, 0);
+            alg.cancel(&shared, &mut writer, &mut ctx);
+        }
+        assert_eq!(dpu.peek(addr), 5, "the abort undoes the store");
+        let mut ctx = TaskletCtx::new(&mut dpu, &mut reader_stats, 0, 2, 0);
+        let check = InvisibleOrec.accept_word(&shared, &mut reader, &mut ctx, addr, 77, token);
+        assert_eq!(check.unwrap(), WordCheck::Reread, "the dirty value must not be accepted");
     }
 }

@@ -208,7 +208,14 @@ impl ReadPolicy for ValueValidation {
 
     /// No locks are ever held outside the commit critical section, so an
     /// abort has nothing to release.
-    fn release_on_abort(&self, _shared: &StmShared, _tx: &mut TxSlot, _p: &mut dyn Platform) {}
+    fn release_on_abort(
+        &self,
+        _shared: &StmShared,
+        _tx: &mut TxSlot,
+        _p: &mut dyn Platform,
+        _mode: WriteMode,
+    ) {
+    }
 
     /// Only the redo log can serve a word locally (and the engine's
     /// commit-time gate already did); there is no per-word metadata to

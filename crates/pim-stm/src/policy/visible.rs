@@ -221,7 +221,13 @@ impl ReadPolicy for VisibleReadLocks {
         self.release_locks(shared, tx, p);
     }
 
-    fn release_on_abort(&self, shared: &StmShared, tx: &mut TxSlot, p: &mut dyn Platform) {
+    fn release_on_abort(
+        &self,
+        shared: &StmShared,
+        tx: &mut TxSlot,
+        p: &mut dyn Platform,
+        _mode: WriteMode,
+    ) {
         self.release_locks(shared, tx, p);
     }
 
