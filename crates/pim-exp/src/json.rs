@@ -846,6 +846,7 @@ pub fn service_to_json(sweep: &ServiceSweep) -> Json {
                             ("rounds".into(), Json::u64(r.rounds)),
                             ("rebalances".into(), Json::u64(r.rebalances)),
                             ("migrated_keys".into(), Json::u64(r.migrated_keys)),
+                            ("migration_bytes".into(), Json::u64(r.migration_bytes)),
                             ("makespan_seconds".into(), Json::Num(r.makespan_seconds)),
                             ("dpu_seconds".into(), Json::Num(r.dpu_seconds)),
                             ("host_seconds".into(), Json::Num(r.host_seconds)),
