@@ -324,10 +324,11 @@ impl ShardWorkload for Counters<'_> {
         let mut moved = Migration::new(shards.len());
         let mut counters = vec![0u64; old.total_keys() as usize];
         for key in 0..old.total_keys() {
-            let state = &shards[old.owner(key) as usize];
+            let (from, to) = (old.owner(key), new.owner(key));
+            let state = &shards[from as usize];
             counters[key as usize] = var::peek_var(&state.dpu, state.data.counter(key));
-            if old.owner(key) != new.owner(key) {
-                moved.record(old.owner(key), new.owner(key));
+            if from != to {
+                moved.record(from, to);
             }
         }
         for (s, state) in (0u32..).zip(shards.iter_mut()) {
