@@ -179,9 +179,9 @@ pub struct ServiceFleetReport {
     pub rebalances: u64,
     /// Keys copied across shards at rebalance boundaries.
     pub migrated_keys: u64,
-    /// Bytes those copies moved through the ledger:
-    /// [`pim_fleet::MIGRATION_BYTES_PER_KEY`] per key gathered from the old owner plus
-    /// as many scattered to the new one.
+    /// Bytes those copies moved through the ledger: per key,
+    /// [`pim_fleet::MIGRATION_BYTES_PER_KEY`] gathered from the old owner
+    /// and as many scattered to the new one.
     pub migration_bytes: u64,
     /// Requests served per shard (by final routing).
     pub per_shard_completed: Vec<u64>,
