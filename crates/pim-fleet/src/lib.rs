@@ -43,11 +43,11 @@ pub mod rebalance;
 pub mod report;
 pub mod runtime;
 
-pub use engine::{BatchOutcome, EngineRun, Migration, RoundEngine, ShardWorkload};
+pub use engine::{
+    BatchOutcome, EngineRun, Migration, RoundEngine, ShardWorkload, GATHER_SUMMARY_BYTES,
+    MIGRATION_BYTES_PER_KEY, ROUND_DESCRIPTOR_BYTES,
+};
 pub use host::{HostCostModel, PrimitiveStats, TransferLedger};
 pub use rebalance::{RebalancePolicy, Rebalancer};
 pub use report::{FleetReport, Imbalance, PipelineStats, RebalanceStats, RoundStats, ShardStats};
-pub use runtime::{
-    resolve_host_workers, run, FleetConfig, GATHER_SUMMARY_BYTES, MIGRATION_BYTES_PER_KEY,
-    ROUND_DESCRIPTOR_BYTES,
-};
+pub use runtime::{resolve_host_workers, run, FleetConfig};

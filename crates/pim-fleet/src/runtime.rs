@@ -22,7 +22,6 @@ use pim_workloads::sharded::{
 use pim_workloads::{RoutingPolicy, ShardMap, ShardedWorkloadConfig, TxMachine};
 
 use crate::engine::{BatchOutcome, Migration, RoundEngine, ShardWorkload};
-pub use crate::engine::{GATHER_SUMMARY_BYTES, MIGRATION_BYTES_PER_KEY, ROUND_DESCRIPTOR_BYTES};
 use crate::host::HostCostModel;
 use crate::rebalance::RebalancePolicy;
 use crate::report::{FleetReport, Imbalance, ShardStats};
@@ -419,6 +418,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MIGRATION_BYTES_PER_KEY;
     use pim_sim::KeyDist;
 
     fn small_workload() -> ShardedWorkloadConfig {
