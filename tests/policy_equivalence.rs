@@ -281,6 +281,9 @@ const RECORD_GOLDENS: [Golden; 7] = [
     Golden {
         // Re-pinned when write-through aborts began releasing ORecs with a
         // fresh clock version (the TinySTM rule) instead of the pre-lock one.
+        // Readers that only share an ORec with an aborting writer now fail
+        // validation, and the longer abort streaks reach wider back-off
+        // windows: most of the extra cycles are back-off.
         kind: StmKind::TinyEtlWt,
         placement: MetadataPlacement::Mram,
         commits: 18,
